@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/check"
 	"repro/internal/db"
@@ -26,6 +27,11 @@ func main() {
 	// references; pin physical addressing so REORG_LOGICAL_OID cannot
 	// reinterpret them as logical identities.
 	cfg.PhysicalOIDs = true
+	// The scanners hold shared locks down the list while the reorganizer
+	// repoints each element's parent, so the two deadlock a few hundred
+	// times per run; each deadlock stalls until the lock timeout. At the
+	// paper's 1 s that is minutes of idle waiting, so break them sooner.
+	cfg.LockTimeout = 20 * time.Millisecond
 	d := db.Open(cfg)
 	defer d.Close()
 	must(d.CreatePartition(0))

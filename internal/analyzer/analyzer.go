@@ -244,15 +244,14 @@ func (a *Analyzer) noteDelete(child, parent oid.OID, txn wal.TxnID) {
 	}
 }
 
-// txnComplete applies TRT purge rules on commit/abort (§4.5).
+// txnComplete applies TRT purge rules on commit/abort (§4.5). It runs
+// under the WAL append mutex for every commit and abort, so it must not
+// allocate: it walks the attached TRTs in place, and with no
+// reorganization running there are none.
 func (a *Analyzer) txnComplete(txn wal.TxnID, committed bool) {
 	a.mu.RLock()
-	tables := make([]*trt.Table, 0, len(a.trts))
+	defer a.mu.RUnlock()
 	for _, t := range a.trts {
-		tables = append(tables, t)
-	}
-	a.mu.RUnlock()
-	for _, t := range tables {
 		t.TxnComplete(trt.TxnID(txn), committed)
 	}
 }

@@ -128,6 +128,34 @@ func TestCommitTriggersTRTPurge(t *testing.T) {
 	}
 }
 
+// TestCompletionRecordAllocFree pins that commit and abort records, which
+// the analyzer handles under the WAL append mutex, allocate nothing: with
+// no reorganization running, and while TRTs are attached but the
+// completing transaction logged no tuple in them.
+func TestCompletionRecordAllocFree(t *testing.T) {
+	a := New()
+	a.ERT(1)
+	commit := &wal.Record{Type: wal.RecCommit, Txn: 5}
+	abort := &wal.Record{Type: wal.RecAbort, Txn: 6}
+	observe := func() {
+		a.Observe(commit)
+		a.Observe(abort)
+	}
+	if n := testing.AllocsPerRun(100, observe); n != 0 {
+		t.Fatalf("%.1f allocs per commit+abort with no TRT attached", n)
+	}
+	a.AttachTRT(trt.New(1, true))
+	a.AttachTRT(trt.New(2, true))
+	if n := testing.AllocsPerRun(100, observe); n != 0 {
+		t.Fatalf("%.1f allocs per commit+abort with two TRTs attached", n)
+	}
+	a.DetachTRT(1)
+	a.DetachTRT(2)
+	if n := testing.AllocsPerRun(100, observe); n != 0 {
+		t.Fatalf("%.1f allocs per commit+abort after the TRTs were detached", n)
+	}
+}
+
 func TestDetachStopsTRTMaintenance(t *testing.T) {
 	a, tr := newWithTables()
 	a.DetachTRT(1)

@@ -21,6 +21,7 @@
 package trt
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/oid"
@@ -55,14 +56,21 @@ type Tuple struct {
 	Act    Action
 }
 
-// Table is the TRT of one partition being reorganized.
+// Table is the TRT of one partition being reorganized. Two maps index
+// it: byChild serves the reorganizer's lookups by referenced object, and
+// delsByTxn serves the §4.5 purge's lookups by transaction.
 type Table struct {
 	part      oid.PartitionID
 	strict2PL bool
 
 	mu      sync.Mutex
 	byChild map[oid.OID][]Tuple
-	byTxn   map[TxnID]int // live tuples per txn, for purge bookkeeping
+	// delsByTxn lists, per transaction, the children of the delete tuples
+	// it logged (kept only under strict 2PL, where the purge runs). An
+	// entry is dropped when its transaction completes; children whose
+	// tuples were drained by Take or TakeAny in the meantime simply have
+	// nothing left to purge.
+	delsByTxn map[TxnID][]oid.OID
 	// created records objects created in the partition while the
 	// reorganization runs, for the footnote-6 extension that migrates
 	// late-created objects too.
@@ -80,7 +88,7 @@ func New(part oid.PartitionID, strict2PL bool) *Table {
 		part:      part,
 		strict2PL: strict2PL,
 		byChild:   make(map[oid.OID][]Tuple),
-		byTxn:     make(map[TxnID]int),
+		delsByTxn: make(map[TxnID][]oid.OID),
 	}
 }
 
@@ -94,9 +102,23 @@ func (t *Table) Partition() oid.PartitionID { return t.part }
 func (t *Table) Log(child, parent oid.OID, txn TxnID, act Action) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.byChild[child] = append(t.byChild[child], Tuple{child, parent, txn, act})
-	t.byTxn[txn]++
+	t.add(Tuple{child, parent, txn, act})
+}
+
+// add inserts tp into both indexes. Caller holds t.mu.
+func (t *Table) add(tp Tuple) {
+	t.byChild[tp.Child] = append(t.byChild[tp.Child], tp)
 	t.total++
+	if tp.Act != Delete || !t.strict2PL {
+		return
+	}
+	// A transaction often logs several deletes on one child in a row
+	// (a retargeted or deleted parent holding the reference twice); one
+	// entry is enough, since the purge filters the child's whole list.
+	kids := t.delsByTxn[tp.Txn]
+	if n := len(kids); n == 0 || kids[n-1] != tp.Child {
+		t.delsByTxn[tp.Txn] = append(kids, tp.Child)
+	}
 }
 
 // LogCreation records that an object was created in the partition while
@@ -128,23 +150,26 @@ func (t *Table) Take(child oid.OID) (Tuple, bool) {
 	if len(tuples) == 0 {
 		return Tuple{}, false
 	}
-	tp := tuples[len(tuples)-1]
-	if len(tuples) == 1 {
-		delete(t.byChild, child)
-	} else {
-		t.byChild[child] = tuples[:len(tuples)-1]
-	}
-	t.dropAccounting(tp)
-	return tp, true
+	return t.pop(child, tuples), true
 }
 
-// dropAccounting updates counters for a removed tuple. Caller holds t.mu.
-func (t *Table) dropAccounting(tp Tuple) {
-	t.byTxn[tp.Txn]--
-	if t.byTxn[tp.Txn] <= 0 {
-		delete(t.byTxn, tp.Txn)
-	}
+// pop removes and returns the last of child's tuples, which must be
+// non-empty. Caller holds t.mu.
+func (t *Table) pop(child oid.OID, tuples []Tuple) Tuple {
+	tp := tuples[len(tuples)-1]
+	t.store(child, tuples[:len(tuples)-1])
 	t.total--
+	return tp
+}
+
+// store sets child's tuple list, dropping the key when it is empty.
+// Caller holds t.mu.
+func (t *Table) store(child oid.OID, tuples []Tuple) {
+	if len(tuples) == 0 {
+		delete(t.byChild, child)
+	} else {
+		t.byChild[child] = tuples
+	}
 }
 
 // TakeAny removes and returns any one tuple. PQR uses it while quiescing:
@@ -154,14 +179,7 @@ func (t *Table) TakeAny() (Tuple, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for child, tuples := range t.byChild {
-		tp := tuples[len(tuples)-1]
-		if len(tuples) == 1 {
-			delete(t.byChild, child)
-		} else {
-			t.byChild[child] = tuples[:len(tuples)-1]
-		}
-		t.dropAccounting(tp)
-		return tp, true
+		return t.pop(child, tuples), true
 	}
 	return Tuple{}, false
 }
@@ -204,57 +222,64 @@ func (t *Table) Purged() int {
 // deletes (same parent→child edge, any transaction) are dropped as well.
 // Outside strict 2PL this is a no-op — a reference deleted by txn may
 // have been seen and cached by a still-active transaction.
+//
+// The analyzer calls this under the WAL append mutex, so it visits only
+// the children txn logged deletes for: its cost is the length of their
+// tuple lists, not the size of the table.
 func (t *Table) TxnComplete(txn TxnID, committed bool) {
 	if !t.strict2PL {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.byTxn[txn] == 0 {
+	kids, ok := t.delsByTxn[txn]
+	if !ok {
 		return
 	}
-	// Collect the committed deletes first so the insert purge can match
-	// them across all transactions.
-	type edge struct{ child, parent oid.OID }
-	var committedDeletes []edge
-	for child, tuples := range t.byChild {
-		kept := tuples[:0]
-		for _, tp := range tuples {
-			if tp.Txn == txn && tp.Act == Delete {
-				if committed {
-					committedDeletes = append(committedDeletes, edge{tp.Child, tp.Parent})
+	delete(t.delsByTxn, txn)
+	for _, child := range kids {
+		t.purgeChild(child, txn, committed)
+	}
+}
+
+// purgeChild drops txn's delete tuples on child and, if txn committed,
+// one insert tuple of the same edge per dropped delete. Visiting a child
+// twice is harmless: the second visit finds no delete of txn left.
+// Caller holds t.mu.
+func (t *Table) purgeChild(child oid.OID, txn TxnID, committed bool) {
+	tuples := t.byChild[child]
+	kept := tuples[:0]
+	var buf [8]oid.OID
+	deleted := buf[:0] // parents of txn's committed deletes, one per tuple
+	for _, tp := range tuples {
+		if tp.Txn == txn && tp.Act == Delete {
+			if committed {
+				deleted = append(deleted, tp.Parent)
+			}
+			t.total--
+			t.purged++
+			continue
+		}
+		kept = append(kept, tp)
+	}
+	if len(deleted) > 0 {
+		// Each committed delete takes the first remaining insert of its
+		// edge, whichever transaction logged it.
+		rest := kept[:0]
+		for _, tp := range kept {
+			if tp.Act == Insert {
+				if i := slices.Index(deleted, tp.Parent); i >= 0 {
+					deleted = slices.Delete(deleted, i, i+1)
+					t.total--
+					t.purged++
+					continue
 				}
-				t.dropAccounting(tp)
-				t.purged++
-				continue
 			}
-			kept = append(kept, tp)
+			rest = append(rest, tp)
 		}
-		if len(kept) == 0 {
-			delete(t.byChild, child)
-		} else {
-			t.byChild[child] = kept
-		}
+		kept = rest
 	}
-	for _, e := range committedDeletes {
-		tuples := t.byChild[e.child]
-		kept := tuples[:0]
-		removedOne := false
-		for _, tp := range tuples {
-			if !removedOne && tp.Act == Insert && tp.Parent == e.parent {
-				t.dropAccounting(tp)
-				t.purged++
-				removedOne = true
-				continue
-			}
-			kept = append(kept, tp)
-		}
-		if len(kept) == 0 {
-			delete(t.byChild, e.child)
-		} else {
-			t.byChild[e.child] = kept
-		}
-	}
+	t.store(child, kept)
 }
 
 // Snapshot captures the TRT for reorganizer checkpoints (§4.4).
@@ -279,11 +304,9 @@ func (t *Table) Restore(s *Snapshot) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.byChild = make(map[oid.OID][]Tuple)
-	t.byTxn = make(map[TxnID]int)
+	t.delsByTxn = make(map[TxnID][]oid.OID)
 	t.total = 0
 	for _, tp := range s.Tuples {
-		t.byChild[tp.Child] = append(t.byChild[tp.Child], tp)
-		t.byTxn[tp.Txn]++
-		t.total++
+		t.add(tp)
 	}
 }
