@@ -123,11 +123,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// conn is one established, handshaken connection.
+// conn is one established, handshaken connection. Frames are written
+// straight to the socket (wire.WriteFrame already makes each one a
+// single Write); reads go through br.
 type conn struct {
 	c  net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 }
 
 func (cn *conn) close() { cn.c.Close() }
@@ -142,10 +143,7 @@ func (cn *conn) roundTrip(req wire.Request, timeout time.Duration) (wire.Respons
 	// StatusDeadline itself when the budget expires, so the socket
 	// deadline only catches a dead peer.
 	cn.c.SetDeadline(time.Now().Add(timeout + 2*time.Second))
-	if err := wire.WriteFrame(cn.bw, payload); err != nil {
-		return wire.Response{}, err
-	}
-	if err := cn.bw.Flush(); err != nil {
+	if err := wire.WriteFrame(cn.c, payload); err != nil {
 		return wire.Response{}, err
 	}
 	frame, err := wire.ReadFrame(cn.br)
@@ -207,15 +205,11 @@ func (c *Client) dialConn() (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cn := &conn{c: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+	cn := &conn{c: nc, br: bufio.NewReader(nc)}
 	nc.SetDeadline(time.Now().Add(c.cfg.DialTimeout + c.cfg.RequestTimeout))
-	if err := wire.WriteFrame(cn.bw, wire.EncodeHello(wire.Hello{
+	if err := wire.WriteFrame(nc, wire.EncodeHello(wire.Hello{
 		Magic: wire.Magic, Version: wire.Version, Tenant: c.cfg.Tenant,
 	})); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if err := cn.bw.Flush(); err != nil {
 		nc.Close()
 		return nil, err
 	}

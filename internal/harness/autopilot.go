@@ -51,15 +51,15 @@ type AutopilotReport struct {
 	Env          BenchEnv `json:"env"`
 	GOMAXPROCS   int      `json:"gomaxprocs"`
 	MPL          int      `json:"mpl"`
-	Partitions   int     `json:"partitions"`
-	Objects      int     `json:"objects_per_partition"`
-	Seed         int64   `json:"seed"`
-	WindowMs     float64 `json:"window_ms"`
-	WarmupMs     float64 `json:"warmup_ms"`
-	LeadWindows  int     `json:"lead_windows"`
-	DrainWindows int     `json:"drain_windows"`
-	Policy       string  `json:"policy"`
-	BudgetPct    float64 `json:"budget_pct"`
+	Partitions   int      `json:"partitions"`
+	Objects      int      `json:"objects_per_partition"`
+	Seed         int64    `json:"seed"`
+	WindowMs     float64  `json:"window_ms"`
+	WarmupMs     float64  `json:"warmup_ms"`
+	LeadWindows  int      `json:"lead_windows"`
+	DrainWindows int      `json:"drain_windows"`
+	Policy       string   `json:"policy"`
+	BudgetPct    float64  `json:"budget_pct"`
 
 	// Clustering-recovery curve: the churned partition's exact
 	// declustering score fresh (just built), after the churn pass, and

@@ -72,13 +72,13 @@ type InterferenceReport struct {
 	Env          BenchEnv `json:"env"`
 	GOMAXPROCS   int      `json:"gomaxprocs"`
 	MPL          int      `json:"mpl"`
-	Partitions   int     `json:"partitions"`
-	Objects      int     `json:"objects_per_partition"`
-	Seed         int64   `json:"seed"`
-	WindowMs     float64 `json:"window_ms"`
-	WarmupMs     float64 `json:"warmup_ms"`
-	LeadWindows  int     `json:"lead_windows"`
-	DrainWindows int     `json:"drain_windows"`
+	Partitions   int      `json:"partitions"`
+	Objects      int      `json:"objects_per_partition"`
+	Seed         int64    `json:"seed"`
+	WindowMs     float64  `json:"window_ms"`
+	WarmupMs     float64  `json:"warmup_ms"`
+	LeadWindows  int      `json:"lead_windows"`
+	DrainWindows int      `json:"drain_windows"`
 
 	On  InterferenceSeries `json:"on"`
 	Off InterferenceSeries `json:"off"`

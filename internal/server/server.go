@@ -29,6 +29,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -307,7 +308,12 @@ func (s *Server) serveConn(c net.Conn) {
 	// deadlock-timeout aborts.
 	defer s.abortTxn(st, true)
 
-	if !s.handshake(c, st) {
+	// One buffered reader per connection, shared by the handshake and
+	// the request loop: a frame costs at most one read(2), and bytes the
+	// client sent ahead (pipelined frames) stay in the buffer for the
+	// next ReadFrame instead of being lost between the two phases.
+	br := bufio.NewReader(c)
+	if !s.handshake(c, br, st) {
 		return
 	}
 	for {
@@ -318,7 +324,7 @@ func (s *Server) serveConn(c net.Conn) {
 		if err := fpRead.Maybe(); err != nil {
 			return
 		}
-		frame, err := wire.ReadFrame(c)
+		frame, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -360,9 +366,9 @@ func (s *Server) serveConn(c net.Conn) {
 
 // handshake reads the Hello and answers the Welcome. False means the
 // connection was rejected (or died) and must be closed.
-func (s *Server) handshake(c net.Conn, st *session) bool {
+func (s *Server) handshake(c net.Conn, br *bufio.Reader, st *session) bool {
 	c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-	frame, err := wire.ReadFrame(c)
+	frame, err := wire.ReadFrame(br)
 	if err != nil {
 		return false
 	}

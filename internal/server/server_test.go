@@ -25,7 +25,17 @@ type world struct {
 	root oid.OID
 }
 
-func newWorld(t *testing.T, cfg server.Config) *world {
+func newWorld(t testing.TB, cfg server.Config) *world {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newWorldOn(t, cfg, ln)
+}
+
+// newWorldOn is newWorld serving on a caller-supplied listener.
+func newWorldOn(t testing.TB, cfg server.Config, ln net.Listener) *world {
 	t.Helper()
 	dcfg := db.DefaultConfig()
 	dcfg.FlushLatency = 0
@@ -56,15 +66,16 @@ func newWorld(t *testing.T, cfg server.Config) *world {
 			return nil
 		}
 	}
-	srv, addr, err := server.Start(cfg, "127.0.0.1:0")
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
-	return &world{d: d, srv: srv, addr: addr.String(), root: root}
+	return &world{d: d, srv: srv, addr: ln.Addr().String(), root: root}
 }
 
-func (w *world) client(t *testing.T, cfg client.Config) *client.Client {
+func (w *world) client(t testing.TB, cfg client.Config) *client.Client {
 	t.Helper()
 	cfg.Addr = w.addr
 	if cfg.Tenant == "" {

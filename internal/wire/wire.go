@@ -225,21 +225,22 @@ type Response struct {
 	Sub          []Response // per-sub results for OpBatch
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame with a single Write: the
+// header and payload go out together, so on a socket a frame costs one
+// write(2) and the peer never wakes for a lone header segment.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := make([]byte, 4, 4+len(payload))
+	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
+	_, err := w.Write(append(buf, payload...))
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame. It issues two reads (header,
+// then payload), so a socket reader should sit behind a bufio.Reader to
+// pay one read(2) per frame, or fewer when frames arrive together.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -475,7 +476,9 @@ func decodeRequest(d *dec, depth int) Request {
 		Refs:       d.refs(),
 		Name:       d.str(),
 	}
-	if r.Op >= opMax {
+	// A sub-request may not itself be a batch, even an empty one: the
+	// encoder refuses to nest, so the decoder must too.
+	if r.Op >= opMax || (depth > 0 && r.Op == OpBatch) {
 		d.fail()
 		return r
 	}

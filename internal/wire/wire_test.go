@@ -86,19 +86,52 @@ func reqEqual(a, b Request) bool {
 	return true
 }
 
-func TestRequestRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{ID: 1, Op: OpPing},
-		{ID: 2, Op: OpRoots, Name: "roots/3", DeadlineMs: 250},
-		{ID: 3, Op: OpRead, OID: oid.New(4, 7, 2), Mode: 1},
-		{ID: 4, Op: OpCreate, Part: 9, Payload: []byte("hello"), Refs: []oid.OID{oid.New(1, 1, 1), oid.New(2, 2, 2)}},
-		{ID: 5, Op: OpRetargetRef, OID: oid.New(1, 2, 3), OID2: oid.New(4, 5, 6), OID3: oid.New(7, 8, 9)},
-		{ID: 6, Op: OpBatch, Sub: []Request{
-			{ID: 7, Op: OpRead, OID: oid.New(3, 3, 3)},
-			{ID: 8, Op: OpUpdate, OID: oid.New(3, 3, 3), Payload: []byte("new")},
-		}},
+// goldenRequests and goldenResponses are the round-trip cases; they also
+// seed the fuzz targets.
+var goldenRequests = []Request{
+	{ID: 1, Op: OpPing},
+	{ID: 2, Op: OpRoots, Name: "roots/3", DeadlineMs: 250},
+	{ID: 3, Op: OpRead, OID: oid.New(4, 7, 2), Mode: 1},
+	{ID: 4, Op: OpCreate, Part: 9, Payload: []byte("hello"), Refs: []oid.OID{oid.New(1, 1, 1), oid.New(2, 2, 2)}},
+	{ID: 5, Op: OpRetargetRef, OID: oid.New(1, 2, 3), OID2: oid.New(4, 5, 6), OID3: oid.New(7, 8, 9)},
+	{ID: 6, Op: OpBatch, Sub: []Request{
+		{ID: 7, Op: OpRead, OID: oid.New(3, 3, 3)},
+		{ID: 8, Op: OpUpdate, OID: oid.New(3, 3, 3), Payload: []byte("new")},
+	}},
+}
+
+var goldenResponses = []Response{
+	{ID: 1, Status: StatusOK},
+	{ID: 2, Status: StatusErr, Msg: "lock: wait timed out"},
+	{ID: 3, Status: StatusRetryAfter, RetryAfterMs: 40},
+	{ID: 4, Status: StatusOK, OID: oid.New(2, 5, 1), Payload: []byte("obj"), Refs: []oid.OID{oid.New(9, 9, 9)}},
+	{ID: 5, Status: StatusOK, Sub: []Response{
+		{ID: 6, Status: StatusOK, Payload: []byte("a")},
+		{ID: 7, Status: StatusErr, Msg: "x"},
+	}},
+}
+
+func respEqual(a, b Response) bool {
+	if a.ID != b.ID || a.Status != b.Status || a.RetryAfterMs != b.RetryAfterMs ||
+		a.OID != b.OID || a.Msg != b.Msg || !bytes.Equal(a.Payload, b.Payload) ||
+		len(a.Refs) != len(b.Refs) || len(a.Sub) != len(b.Sub) {
+		return false
 	}
-	for _, r := range reqs {
+	for i := range a.Refs {
+		if a.Refs[i] != b.Refs[i] {
+			return false
+		}
+	}
+	for i := range a.Sub {
+		if !respEqual(a.Sub[i], b.Sub[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestRequestRoundTrip(t *testing.T) {
+	for _, r := range goldenRequests {
 		b, err := EncodeRequest(r)
 		if err != nil {
 			t.Fatalf("EncodeRequest(%s): %v", r.Op, err)
@@ -118,20 +151,28 @@ func TestRequestRejectsNestedBatch(t *testing.T) {
 	if _, err := EncodeRequest(r); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("nested batch encode: %v, want ErrMalformed", err)
 	}
+	if _, err := DecodeRequest(nestedEmptyBatch(t)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("nested empty batch decode: %v, want ErrMalformed", err)
+	}
+}
+
+// nestedEmptyBatch is a batch whose one sub-request is an empty batch —
+// bytes the encoder refuses to produce, so they are patched in.
+func nestedEmptyBatch(t testing.TB) []byte {
+	b, err := EncodeRequest(Request{ID: 1, Op: OpBatch, Sub: []Request{{ID: 2, Op: OpPing}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := EncodeRequest(Request{ID: 2, Op: OpPing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-len(sub)+8] = byte(OpBatch) // the sub's Op follows its 8-byte ID
+	return b
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	resps := []Response{
-		{ID: 1, Status: StatusOK},
-		{ID: 2, Status: StatusErr, Msg: "lock: wait timed out"},
-		{ID: 3, Status: StatusRetryAfter, RetryAfterMs: 40},
-		{ID: 4, Status: StatusOK, OID: oid.New(2, 5, 1), Payload: []byte("obj"), Refs: []oid.OID{oid.New(9, 9, 9)}},
-		{ID: 5, Status: StatusOK, Sub: []Response{
-			{ID: 6, Status: StatusOK, Payload: []byte("a")},
-			{ID: 7, Status: StatusErr, Msg: "x"},
-		}},
-	}
-	for _, r := range resps {
+	for _, r := range goldenResponses {
 		b, err := EncodeResponse(r)
 		if err != nil {
 			t.Fatalf("EncodeResponse: %v", err)
@@ -140,9 +181,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeResponse: %v", err)
 		}
-		if got.ID != r.ID || got.Status != r.Status || got.RetryAfterMs != r.RetryAfterMs ||
-			got.OID != r.OID || got.Msg != r.Msg || !bytes.Equal(got.Payload, r.Payload) ||
-			len(got.Refs) != len(r.Refs) || len(got.Sub) != len(r.Sub) {
+		if !respEqual(got, r) {
 			t.Fatalf("response round trip: got %+v, want %+v", got, r)
 		}
 	}
