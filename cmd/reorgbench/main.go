@@ -6,7 +6,7 @@
 //	reorgbench -list
 //	reorgbench -exp fig6                # one experiment, quick scale
 //	reorgbench -exp all -scale full     # the whole evaluation, paper scale
-//	reorgbench -bench lockscale         # lock-manager scaling sweep → BENCH_lock.json
+//	reorgbench -bench lockscale         # MPL × fleet-worker and group-commit sweeps → BENCH_lock.json
 //	reorgbench -bench torture           # crash-recovery torture sweep → BENCH_torture.json
 //	reorgbench -bench interference      # 100ms-window reorg-on/off series → BENCH_interference.json
 //	reorgbench -bench autopilot         # closed-loop churn→detect→repair run → BENCH_autopilot.json
@@ -117,7 +117,7 @@ func main() {
 			if out == "" {
 				out = "BENCH_lock.json"
 			}
-			fmt.Printf("== lockscale — lock-manager scaling sweep (scale: %s) ==\n", sc.Name)
+			fmt.Printf("== lockscale — MPL × fleet-worker and group-commit sweeps (scale: %s) ==\n", sc.Name)
 			start := time.Now()
 			if err := harness.RunLockScale(os.Stdout, sc, out); err != nil {
 				fmt.Fprintf(os.Stderr, "benchmark lockscale failed: %v\n", err)

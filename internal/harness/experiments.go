@@ -29,10 +29,6 @@ type Scale struct {
 	// benchmark's workload sweep (see RunLockScale).
 	LockScaleMPLs    []int
 	LockScaleWorkers []int
-	// LockScaleMicroDuration is how long each point of the lockscale
-	// micro sweep (striped vs reference manager, per goroutine count)
-	// measures.
-	LockScaleMicroDuration time.Duration
 	// Modes lists the execution modes every bench harness sweeps; empty
 	// means both (fidelity first). The cmds' -mode flag narrows it.
 	Modes []hwmode.Mode
@@ -54,9 +50,8 @@ func QuickScale() Scale {
 		PartitionCounts: []int{5, 10, 20},
 		WorkerCounts:    []int{1, 2, 4, 8},
 
-		LockScaleMPLs:          []int{4, 16},
-		LockScaleWorkers:       []int{1, 4},
-		LockScaleMicroDuration: 150 * time.Millisecond,
+		LockScaleMPLs:    []int{4, 16},
+		LockScaleWorkers: []int{1, 4},
 	}
 }
 
@@ -74,9 +69,8 @@ func FullScale() Scale {
 		PartitionCounts: []int{2, 5, 10, 20},
 		WorkerCounts:    []int{1, 2, 4, 8, 16},
 
-		LockScaleMPLs:          []int{4, 16, 30},
-		LockScaleWorkers:       []int{1, 2, 4, 8},
-		LockScaleMicroDuration: 500 * time.Millisecond,
+		LockScaleMPLs:    []int{4, 16, 30},
+		LockScaleWorkers: []int{1, 2, 4, 8},
 	}
 }
 

@@ -22,30 +22,17 @@ import (
 // see mode.go) it measures and writes to a JSON report (BENCH_lock.json
 // by default) so successive runs can be compared across commits:
 //
-//  1. a micro sweep — raw Begin/Lock/Finish throughput of the striped and
-//     the reference (single-mutex) manager at 1/2/4/8 goroutines, plus the
-//     striped/reference speedup at 8 goroutines. The fidelity sweep is
-//     pinned to GOMAXPROCS=1 (the paper's uniprocessor — striping is
-//     *expected* to lose there, and the number is host-independent); the
-//     hardware sweep runs at full GOMAXPROCS, where striping must win on
-//     any multicore host, and the speedup is asserted.
-//  2. a workload sweep — the full system (MPL transaction threads × fleet
+//  1. a workload sweep — the full system (MPL transaction threads × fleet
 //     reorganization workers) per grid cell, reporting transaction
 //     throughput, mean and p99 response time, reorganization duration and
 //     the lock manager's cumulative counters.
-//  3. hardware mode only: a commit-throughput sweep — disjoint-object
+//  2. hardware mode only: a commit-throughput sweep — disjoint-object
 //     committers at MPL 8 and 16 under WAL group commit versus the naive
 //     per-commit-sync baseline. Group commit must win: every committer in
 //     a flush window piggybacks on one simulated device write.
-
-// LockMicroPoint is one cell of the micro sweep.
-type LockMicroPoint struct {
-	Impl       string  `json:"impl"`
-	Goroutines int     `json:"goroutines"`
-	Ops        uint64  `json:"ops"`
-	Seconds    float64 `json:"seconds"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-}
+//
+// The raw Begin/Lock/Finish micro comparison of the lock manager against
+// its single-mutex oracle lives in internal/lock's BenchmarkLockScaling.
 
 // LockWorkloadPoint is one cell of the workload sweep.
 type LockWorkloadPoint struct {
@@ -74,16 +61,8 @@ type LockCommitPoint struct {
 // LockScaleSweep is one execution mode's trajectory of the lockscale
 // benchmark.
 type LockScaleSweep struct {
-	Env        BenchEnv         `json:"env"`
-	Micro      []LockMicroPoint `json:"micro"`
-	SpeedupAt8 float64          `json:"speedup_at_8"`
-	// SpeedupAsserted records whether SpeedupAt8 was held to the > 1.0
-	// bar: only the hardware sweep on a multicore host asserts it. The
-	// fidelity number is a uniprocessor artifact (striping adds overhead
-	// with nothing to parallelize) and is recorded, never judged.
-	SpeedupAsserted bool                `json:"speedup_asserted"`
-	SpeedupNote     string              `json:"speedup_note,omitempty"`
-	Workload        []LockWorkloadPoint `json:"workload"`
+	Env      BenchEnv            `json:"env"`
+	Workload []LockWorkloadPoint `json:"workload"`
 	// Commit and GroupCommitSpeedup are hardware mode only.
 	Commit []LockCommitPoint `json:"commit,omitempty"`
 	// GroupCommitSpeedup is group over percommit commits/sec at the
@@ -98,43 +77,6 @@ type LockScaleReport struct {
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	NumCPU     int              `json:"num_cpu"`
 	Sweeps     []LockScaleSweep `json:"sweeps"`
-}
-
-// lockMicro measures aggregate Begin/Lock/Finish throughput of manager m
-// with g goroutines over roughly d. Each goroutine locks a disjoint OID
-// pool so every cycle is conflict-free: the only contention is on the
-// manager's own structures, which is the axis striping addresses.
-func lockMicro(m *lock.Manager, g int, d time.Duration) (uint64, float64) {
-	var (
-		ops  atomic.Uint64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := make([]oid.OID, 64)
-			for i := range pool {
-				pool[i] = oid.New(oid.PartitionID(w+1), oid.PageNum(i/8+1), oid.SlotNum(i%8))
-			}
-			txn := lock.TxnID(uint64(w)<<32 + 1)
-			var n uint64
-			for !stop.Load() {
-				txn++
-				m.Begin(txn)
-				m.Lock(txn, pool[n%uint64(len(pool))], lock.Exclusive)
-				m.Finish(txn)
-				n++
-			}
-			ops.Add(n)
-		}(w)
-	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	return ops.Load(), time.Since(start).Seconds()
 }
 
 // commitThroughput measures commits/sec of mpl committers over roughly d,
@@ -221,63 +163,6 @@ func runLockScaleSweep(w io.Writer, sc Scale, mode hwmode.Mode) (LockScaleSweep,
 	fmt.Fprintf(w, "=== %s mode (GOMAXPROCS=%d, NumCPU=%d, cpu_tokens=%d, group_commit=%v, reader_shards=%d)\n",
 		mode, sweep.Env.GOMAXPROCS, sweep.Env.NumCPU, sweep.Env.CPUTokens,
 		sweep.Env.GroupCommit, sweep.Env.ReaderShards)
-
-	// Micro sweep: striped vs reference at each goroutine count. The
-	// fidelity trajectory pins GOMAXPROCS to 1 for the duration — the
-	// paper's uniprocessor, and a number that does not depend on how many
-	// cores the CI runner happens to have.
-	micro := sc.LockScaleMicroDuration
-	if micro <= 0 {
-		micro = 150 * time.Millisecond
-	}
-	restoreProcs := func() {}
-	if mode == hwmode.Fidelity {
-		prev := runtime.GOMAXPROCS(1)
-		restoreProcs = func() { runtime.GOMAXPROCS(prev) }
-		defer restoreProcs() // idempotent; covers the error returns below
-		sweep.Env.GOMAXPROCS = 1
-	}
-	gors := []int{1, 2, 4, 8}
-	perImpl := map[string]map[int]float64{}
-	fmt.Fprintf(w, "micro sweep (Begin/Lock/Finish, disjoint objects, %s/point, GOMAXPROCS=%d)\n",
-		micro, sweep.Env.GOMAXPROCS)
-	fmt.Fprintf(w, "%-10s %-11s %14s\n", "impl", "goroutines", "ops/sec")
-	for _, impl := range []struct {
-		name string
-		opts []lock.Option
-	}{
-		{"striped", nil},
-		{"reference", []lock.Option{lock.WithReference()}},
-	} {
-		perImpl[impl.name] = map[int]float64{}
-		for _, g := range gors {
-			ops, secs := lockMicro(lock.NewManager(impl.opts...), g, micro)
-			rate := float64(ops) / secs
-			perImpl[impl.name][g] = rate
-			sweep.Micro = append(sweep.Micro, LockMicroPoint{
-				Impl: impl.name, Goroutines: g, Ops: ops, Seconds: secs, OpsPerSec: rate,
-			})
-			fmt.Fprintf(w, "%-10s %-11d %14.0f\n", impl.name, g, rate)
-		}
-	}
-	restoreProcs() // the workload and commit sweeps run unpinned
-	if ref := perImpl["reference"][8]; ref > 0 {
-		sweep.SpeedupAt8 = perImpl["striped"][8] / ref
-	}
-	switch {
-	case mode != hwmode.Hardware:
-		sweep.SpeedupNote = "fidelity artifact: striping measured on a pinned uniprocessor, not judged"
-	case sweep.Env.NumCPU <= 1:
-		sweep.SpeedupNote = "single-CPU host: striping has nothing to parallelize, not judged"
-	default:
-		sweep.SpeedupAsserted = true
-	}
-	fmt.Fprintf(w, "striped/reference speedup at 8 goroutines: %.2fx (asserted: %v)\n\n",
-		sweep.SpeedupAt8, sweep.SpeedupAsserted)
-	if sweep.SpeedupAsserted && sweep.SpeedupAt8 < 1.0 {
-		return sweep, fmt.Errorf("lockscale: hardware-mode striped manager slower than reference at 8 goroutines (%.2fx) on a %d-CPU host",
-			sweep.SpeedupAt8, sweep.Env.NumCPU)
-	}
 
 	// Workload sweep: MPL × fleet workers under a whole-database
 	// reorganization. Quick scale shrinks the database so the sweep fits a

@@ -14,9 +14,9 @@ import (
 	"repro/internal/oid"
 )
 
-// The equivalence suite drives the striped manager and the single-mutex
-// reference manager through identical random schedules and requires them
-// to grant, queue, and time out identically.
+// The equivalence suite drives the striped Manager and the single-mutex
+// reference oracle (reference_test.go) through identical random schedules
+// and requires them to grant, queue, and time out identically.
 //
 // Determinism argument: the schedule driver is single-threaded. A sync
 // Lock that cannot be granted immediately must time out, because grants
@@ -32,6 +32,50 @@ import (
 // far above scheduling jitter) so the order in which cycle members give
 // up is schedule-determined too.
 
+// lockManager is the surface the equivalence suite and the scaling
+// benchmarks drive; the production Manager and the reference oracle both
+// implement it.
+type lockManager interface {
+	Begin(txn TxnID)
+	Finish(txn TxnID) error
+	Holds(txn TxnID, o oid.OID) (Mode, bool)
+	Lock(txn TxnID, o oid.OID, mode Mode) error
+	LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Duration) error
+	Unlock(txn TxnID, o oid.OID) error
+	EverLockedBy(o oid.OID, exclude TxnID) []TxnID
+	ActiveTxns() []TxnID
+	Stats() Stats
+	// forEachLockState visits every live lock head under its owning
+	// mutex.
+	forEachLockState(fn func(o oid.OID, ls *lockState))
+}
+
+var (
+	_ lockManager = (*Manager)(nil)
+	_ lockManager = (*reference)(nil)
+)
+
+// newOracle builds the reference oracle with the same options NewManager takes.
+func newOracle(opts ...Option) *reference {
+	cfg := config{timeout: DefaultTimeout}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return newReference(cfg)
+}
+
+// forEachLockState visits every lock head under its bucket mutex.
+func (m *Manager) forEachLockState(fn func(o oid.OID, ls *lockState)) {
+	for i := range m.buckets {
+		b := &m.buckets[i]
+		b.mu.Lock()
+		for o, ls := range b.locks {
+			fn(o, ls)
+		}
+		b.mu.Unlock()
+	}
+}
+
 const (
 	eqTxns        = 3
 	eqObjs        = 3
@@ -39,6 +83,41 @@ const (
 	eqAsyncTO     = 700 * time.Millisecond
 	eqAsyncStride = 200 * time.Millisecond
 )
+
+// The schedules' objects and transactions are chosen by hash so that the
+// first two of each share a bucket and the third does not. The schedules
+// then reach a bucket holding several lock heads, a Finish releasing
+// several OIDs of one bucket in one batch, grants made while another head
+// shares the bucket mutex, and two transactions sharing a txn bucket.
+var (
+	eqObjIDs = func() (objs [eqObjs]oid.OID) {
+		k := eqPickKeys(0, func(k uint64) uint64 { return bucketIndex(oid.New(1, 1, oid.SlotNum(k))) })
+		for i := range objs {
+			objs[i] = oid.New(1, 1, oid.SlotNum(k[i]))
+		}
+		return objs
+	}()
+	eqTxnIDs = func() (txns [eqTxns]TxnID) {
+		k := eqPickKeys(1, stripeHash)
+		for i := range txns {
+			txns[i] = TxnID(k[i])
+		}
+		return txns
+	}()
+)
+
+// eqPickKeys returns three keys from first upward: first, the next key in
+// first's bucket, and the next key outside it.
+func eqPickKeys(first uint64, bucketOf func(uint64) uint64) [3]uint64 {
+	same, other := first+1, first+1
+	for bucketOf(same) != bucketOf(first) {
+		same++
+	}
+	for bucketOf(other) == bucketOf(first) {
+		other++
+	}
+	return [3]uint64{first, same, other}
+}
 
 type eqOpKind uint8
 
@@ -73,8 +152,8 @@ func (eqScript) Generate(r *rand.Rand, size int) reflect.Value {
 		}
 		s.ops[i] = eqOp{
 			kind: eqOpKind(r.Intn(int(eqOpKinds))),
-			txn:  TxnID(1 + r.Intn(eqTxns)),
-			obj:  oid.New(1, 1, oid.SlotNum(r.Intn(eqObjs))),
+			txn:  eqTxnIDs[r.Intn(eqTxns)],
+			obj:  eqObjIDs[r.Intn(eqObjs)],
 			mode: mode,
 		}
 	}
@@ -107,7 +186,7 @@ type asyncReq struct {
 // eqRun applies script to m and returns a transcript: one line per
 // observable event, with async outcomes appended in op order. Two
 // semantically equal managers produce equal transcripts.
-func eqRun(t *testing.T, m *Manager, script eqScript) []string {
+func eqRun(t *testing.T, m lockManager, script eqScript) []string {
 	t.Helper()
 	var log []string
 	active := map[TxnID]bool{}
@@ -116,16 +195,14 @@ func eqRun(t *testing.T, m *Manager, script eqScript) []string {
 
 	digest := func() string {
 		var sb strings.Builder
-		for tx := TxnID(1); tx <= eqTxns; tx++ {
-			for s := 0; s < eqObjs; s++ {
-				o := oid.New(1, 1, oid.SlotNum(s))
+		for _, tx := range eqTxnIDs {
+			for _, o := range eqObjIDs {
 				if mode, ok := m.Holds(tx, o); ok {
 					fmt.Fprintf(&sb, " %d:%s=%s", tx, o, mode)
 				}
 			}
 		}
-		for s := 0; s < eqObjs; s++ {
-			o := oid.New(1, 1, oid.SlotNum(s))
+		for _, o := range eqObjIDs {
 			ever := m.EverLockedBy(o, 0)
 			sort.Slice(ever, func(i, j int) bool { return ever[i] < ever[j] })
 			if len(ever) > 0 {
@@ -288,15 +365,21 @@ func eqRun(t *testing.T, m *Manager, script eqScript) []string {
 // identical transcripts (grants, queues, timeouts, lock tables, history
 // sets) and identical cumulative Stats.
 func TestStripedMatchesReference(t *testing.T) {
+	if bucketIndex(eqObjIDs[0]) != bucketIndex(eqObjIDs[1]) ||
+		bucketIndex(eqObjIDs[0]) == bucketIndex(eqObjIDs[2]) ||
+		stripeHash(uint64(eqTxnIDs[0])) != stripeHash(uint64(eqTxnIDs[1])) ||
+		stripeHash(uint64(eqTxnIDs[0])) == stripeHash(uint64(eqTxnIDs[2])) {
+		t.Fatalf("schedule keys do not share buckets as intended: objs %v, txns %v", eqObjIDs, eqTxnIDs)
+	}
 	prop := func(script eqScript) bool {
-		ref := NewManager(WithReference(), WithTimeout(eqSyncTO), WithHistory(true))
-		str := NewManager(WithStripes(4), WithTimeout(eqSyncTO), WithHistory(true))
+		ref := newOracle(WithTimeout(eqSyncTO), WithHistory(true))
+		str := NewManager(WithTimeout(eqSyncTO), WithHistory(true))
 
 		type res struct {
 			log   []string
 			stats Stats
 		}
-		run := func(m *Manager, out chan<- res) {
+		run := func(m lockManager, out chan<- res) {
 			log := eqRun(t, m, script)
 			out <- res{log: log, stats: m.Stats()}
 		}
@@ -340,18 +423,37 @@ func TestStripedMatchesReference(t *testing.T) {
 }
 
 // TestStripedFinishSpansBuckets pins the cross-bucket Finish path: one
-// transaction locks many objects spread over every bucket of a small
-// striped manager (guaranteeing multi-OID buckets), with queued waiters
+// transaction locks objects chosen by bucketIndex so that several share
+// each bucket and together they span more than one, with queued waiters
 // on several of them; Finish must release everything and wake all
 // waiters.
 func TestStripedFinishSpansBuckets(t *testing.T) {
-	m := NewManager(WithStripes(2), WithTimeout(2*time.Second), WithHistory(true))
+	const (
+		n         = 32
+		nBuckets  = 4
+		perBucket = n / nBuckets
+	)
+	var objs []oid.OID
+	inBucket := map[uint64]int{}
+	for slot := 0; len(objs) < n; slot++ {
+		o := oid.New(1, 1, oid.SlotNum(slot))
+		b := bucketIndex(o)
+		if _, seen := inBucket[b]; !seen && len(inBucket) == nBuckets {
+			continue
+		}
+		if inBucket[b] < perBucket {
+			inBucket[b]++
+			objs = append(objs, o)
+		}
+	}
+	if len(inBucket) < 2 {
+		t.Fatalf("objects span %d buckets, want at least 2", len(inBucket))
+	}
+
+	m := NewManager(WithTimeout(2*time.Second), WithHistory(true))
 	m.Begin(1)
-	const n = 32
-	objs := make([]oid.OID, n)
-	for i := range objs {
-		objs[i] = oid.New(1, 1, oid.SlotNum(i))
-		if err := m.Lock(1, objs[i], Exclusive); err != nil {
+	for _, o := range objs {
+		if err := m.Lock(1, o, Exclusive); err != nil {
 			t.Fatal(err)
 		}
 	}

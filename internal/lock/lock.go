@@ -13,16 +13,13 @@
 // they were following strict 2PL with respect to the reorganization
 // process."
 //
-// Two implementations share the same semantics:
-//
-//   - the striped manager (the default): lock heads live in power-of-two
-//     hash buckets keyed by OID — the same scheme as internal/latch — and
-//     per-transaction state lives in a separately sharded transaction
-//     table, so Begin/Lock/Unlock/Finish from different threads only
-//     contend when they touch the same bucket;
-//   - the reference manager (WithReference): the original single-mutex
-//     implementation, kept as the semantic oracle for the equivalence
-//     property tests.
+// There is one manager, and it is striped: lock heads live in
+// DefaultStripes hash buckets keyed by OID — the same scheme as
+// internal/latch — and per-transaction state lives in a separately
+// sharded transaction table, so Begin/Lock/Unlock/Finish from different
+// threads only contend when they touch the same bucket. The original
+// single-mutex manager survives only in the package tests, as the
+// semantic oracle the striped one is property-tested against.
 package lock
 
 import (
@@ -65,8 +62,8 @@ type TxnID uint64
 // it matches the paper's 1-second setting.
 const DefaultTimeout = time.Second
 
-// DefaultStripes is the bucket count of the striped manager's lock table
-// (and its transaction table) when none is configured.
+// DefaultStripes is the bucket count of the lock table (and of the
+// transaction table). It must be a power of two.
 const DefaultStripes = 64
 
 // Errors.
@@ -165,69 +162,18 @@ func reapable(ls *lockState) bool {
 	return len(ls.holders) == 0 && len(ls.queue) == 0 && len(ls.ever) == 0
 }
 
-// Stats are cumulative lock-manager counters. The striped manager keeps
-// them as atomics so Stats snapshots never contend with the grant path.
+// Stats are cumulative lock-manager counters. The manager keeps them as
+// atomics so Stats snapshots never contend with the grant path.
 type Stats struct {
 	Acquired uint64 // locks granted
 	Waits    uint64 // requests that had to queue
 	Timeouts uint64 // requests that timed out (deadlock victims)
 }
 
-// Impl is the contract shared by the striped manager and the single-mutex
-// reference manager. The unexported method keeps outside packages from
-// implementing it (and gives tests a way to inspect lock heads under the
-// owning mutex).
-type Impl interface {
-	// Timeout returns the configured deadlock timeout.
-	Timeout() time.Duration
-	// Begin registers a transaction with the lock manager.
-	Begin(txn TxnID)
-	// Finish releases every lock held by txn, clears its history entries,
-	// and wakes anyone waiting for the transaction to complete.
-	Finish(txn TxnID) error
-	// Done returns a channel closed when txn finishes, or a closed channel
-	// if the transaction is already gone.
-	Done(txn TxnID) <-chan struct{}
-	// Holds reports the mode txn holds on o, if any.
-	Holds(txn TxnID, o oid.OID) (Mode, bool)
-	// HeldLocks returns the set of objects txn currently locks.
-	HeldLocks(txn TxnID) []oid.OID
-	// Lock acquires o in the given mode for txn, waiting up to the
-	// configured timeout. A Shared request by a holder of Exclusive is a
-	// no-op; a request for Exclusive by a holder of Shared is an upgrade,
-	// which queues ahead of ordinary waiters.
-	Lock(txn TxnID, o oid.OID, mode Mode) error
-	// LockTimeout is Lock with an explicit timeout.
-	LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Duration) error
-	// Unlock releases txn's lock on o before transaction end
-	// (short-duration locking, paper §4.1). Under strict 2PL, callers use
-	// Finish instead.
-	Unlock(txn TxnID, o oid.OID) error
-	// EverLockedBy returns the active transactions (excluding `exclude`)
-	// that have ever locked o. Requires history tracking.
-	EverLockedBy(o oid.OID, exclude TxnID) []TxnID
-	// ActiveTxns returns the ids of all registered transactions.
-	ActiveTxns() []TxnID
-	// Stats returns a copy of the cumulative counters.
-	Stats() Stats
-
-	// forEachLockState visits every live lock head under its owning mutex
-	// (test instrumentation).
-	forEachLockState(fn func(o oid.OID, ls *lockState))
-}
-
-// Manager is the lock manager handed to the rest of the system. It wraps
-// whichever implementation the options selected (striped by default).
-type Manager struct {
-	Impl
-}
-
 // config collects option settings.
 type config struct {
 	timeout      time.Duration
 	trackHistory bool
-	stripes      int
-	reference    bool
 }
 
 // Option configures a Manager.
@@ -244,32 +190,6 @@ func WithHistory(on bool) Option {
 	return func(c *config) { c.trackHistory = on }
 }
 
-// WithStripes sets the striped manager's bucket count, rounded up to a
-// power of two; n <= 0 selects DefaultStripes. Ignored by the reference
-// implementation.
-func WithStripes(n int) Option {
-	return func(c *config) { c.stripes = n }
-}
-
-// WithReference selects the original single-mutex implementation instead
-// of the striped one. It exists as the semantic oracle for equivalence
-// tests and as an escape hatch; production code should use the default.
-func WithReference() Option {
-	return func(c *config) { c.reference = true }
-}
-
-// NewManager creates a lock manager.
-func NewManager(opts ...Option) *Manager {
-	cfg := config{timeout: DefaultTimeout, stripes: DefaultStripes}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.reference {
-		return &Manager{Impl: newReference(cfg)}
-	}
-	return &Manager{Impl: newStriped(cfg)}
-}
-
 // fpLockAcquire lets a fault registry inject spurious lock timeouts:
 // the request fails exactly as a deadlock victim would, exercising
 // every caller's abort-and-retry path without real contention.
@@ -283,36 +203,29 @@ func injectedTimeout(o oid.OID, mode Mode, ferr error) error {
 	return fmt.Errorf("%w: injected while locking %s %s: %w", ErrTimeout, o, mode, ferr)
 }
 
-// Lock acquires o in the given mode for txn (see Impl.Lock). It
-// consults the lock/acquire fault point first, so an armed registry
-// can make any acquisition spuriously time out, and feeds the
-// lock-acquire latency histogram when tracing is on.
+// Lock acquires o in the given mode for txn, waiting up to the
+// configured timeout. A Shared request by a holder of Exclusive is a
+// no-op; a request for Exclusive by a holder of Shared is an upgrade,
+// which queues ahead of ordinary waiters.
 func (m *Manager) Lock(txn TxnID, o oid.OID, mode Mode) error {
-	if ferr := fpLockAcquire.Maybe(); ferr != nil {
-		return injectedTimeout(o, mode, ferr)
-	}
-	if obs.Enabled() {
-		start := time.Now()
-		err := m.Impl.Lock(txn, o, mode)
-		obs.Observe(obs.LockAcquire, time.Since(start))
-		return err
-	}
-	return m.Impl.Lock(txn, o, mode)
+	return m.LockTimeout(txn, o, mode, m.timeout)
 }
 
-// LockTimeout is Lock with an explicit timeout, with the same
-// lock/acquire fault point and tracing.
+// LockTimeout is Lock with an explicit timeout. It consults the
+// lock/acquire fault point first, so an armed registry can make any
+// acquisition spuriously time out, and feeds the lock-acquire latency
+// histogram when tracing is on; acquire does the locking itself.
 func (m *Manager) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Duration) error {
 	if ferr := fpLockAcquire.Maybe(); ferr != nil {
 		return injectedTimeout(o, mode, ferr)
 	}
 	if obs.Enabled() {
 		start := time.Now()
-		err := m.Impl.LockTimeout(txn, o, mode, timeout)
+		err := m.acquire(txn, o, mode, timeout)
 		obs.Observe(obs.LockAcquire, time.Since(start))
 		return err
 	}
-	return m.Impl.LockTimeout(txn, o, mode, timeout)
+	return m.acquire(txn, o, mode, timeout)
 }
 
 // WaitEverLockers blocks until every active transaction that ever locked
@@ -320,12 +233,6 @@ func (m *Manager) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Dura
 // the §4.1 wait that restores strict-2PL behaviour with respect to the
 // reorganizer when ordinary transactions release locks early.
 func (m *Manager) WaitEverLockers(o oid.OID, exclude TxnID, timeout time.Duration) error {
-	return waitEverLockers(m.Impl, o, exclude, timeout)
-}
-
-// waitEverLockers is WaitEverLockers over any implementation; it only
-// needs EverLockedBy and Done, so it is shared.
-func waitEverLockers(m Impl, o oid.OID, exclude TxnID, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		lockers := m.EverLockedBy(o, exclude)

@@ -17,22 +17,9 @@ func newMgr(opts ...Option) *Manager {
 	return NewManager(append([]Option{WithTimeout(200 * time.Millisecond)}, opts...)...)
 }
 
-// bothImpls runs a subtest against the striped (default) and reference
-// implementations.
-func bothImpls(t *testing.T, fn func(t *testing.T, mk func(opts ...Option) *Manager)) {
-	t.Run("striped", func(t *testing.T) {
-		fn(t, func(opts ...Option) *Manager { return newMgr(opts...) })
-	})
-	t.Run("reference", func(t *testing.T) {
-		fn(t, func(opts ...Option) *Manager {
-			return newMgr(append([]Option{WithReference()}, opts...)...)
-		})
-	})
-}
-
 func TestSharedLocksCompatible(t *testing.T) {
-	bothImpls(t, func(t *testing.T, mk func(opts ...Option) *Manager) {
-		m := mk()
+	t.Run("striped", func(t *testing.T) {
+		m := newMgr()
 		m.Begin(1)
 		m.Begin(2)
 		if err := m.Lock(1, testOID, Shared); err != nil {
@@ -45,8 +32,8 @@ func TestSharedLocksCompatible(t *testing.T) {
 }
 
 func TestExclusiveExcludes(t *testing.T) {
-	bothImpls(t, func(t *testing.T, mk func(opts ...Option) *Manager) {
-		m := mk()
+	t.Run("striped", func(t *testing.T) {
+		m := newMgr()
 		m.Begin(1)
 		m.Begin(2)
 		if err := m.Lock(1, testOID, Exclusive); err != nil {
@@ -332,10 +319,10 @@ func TestNoLostUpdatesUnderX(t *testing.T) {
 
 // TestInvariantNoIncompatibleHolders randomly locks/unlocks and validates
 // that the holder set never contains an X holder together with any other
-// holder — against both implementations.
+// holder.
 func TestInvariantNoIncompatibleHolders(t *testing.T) {
-	bothImpls(t, func(t *testing.T, mk func(opts ...Option) *Manager) {
-		m := mk(WithTimeout(50 * time.Millisecond))
+	t.Run("striped", func(t *testing.T) {
+		m := newMgr(WithTimeout(50 * time.Millisecond))
 		objs := []oid.OID{oid.New(0, 1, 0), oid.New(0, 1, 1), oid.New(0, 1, 2)}
 		var wg sync.WaitGroup
 		var violation atomic.Bool

@@ -30,7 +30,7 @@ func lockCycleNs(m *Manager, n int, step func(txn TxnID, o oid.OID)) float64 {
 // TestDisabledTracingOverhead is the observability budget: with no
 // tracer installed, Manager.Lock may cost at most 2% (or 10 ns absolute
 // — whichever is larger, to stay robust on fast machines) over calling
-// the implementation directly. The guarded path's entire disabled cost
+// the undecorated acquire path directly. The guarded path's entire disabled cost
 // is one fault-point check plus one atomic tracer load; this test keeps
 // anyone from accidentally adding a time.Now() or allocation to it.
 //
@@ -51,7 +51,7 @@ func TestDisabledTracingOverhead(t *testing.T) {
 
 	m := NewManager()
 	wrapped := func(txn TxnID, o oid.OID) { m.Lock(txn, o, Exclusive) }
-	direct := func(txn TxnID, o oid.OID) { m.Impl.Lock(txn, o, Exclusive) }
+	direct := func(txn TxnID, o oid.OID) { m.acquire(txn, o, Exclusive, m.timeout) }
 
 	const (
 		cycles = 200_000
