@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -80,9 +81,9 @@ func permanentIOErr(err error) bool {
 }
 
 // retryIO runs op until it succeeds, fails permanently, or exhausts the
-// retry budget. Callers hold d.mu; the backoff is short enough (≤1.4ms
-// total) that stalling the directory is preferable to letting another
-// writer race a flaky device.
+// retry budget. Callers hold d.mu (writers exclusively, readers shared);
+// the backoff is short enough (≤1.4ms total) that stalling the directory
+// is preferable to letting another writer race a flaky device.
 func (d *Dir) retryIO(op func() error) error {
 	backoff := ioBackoffBase
 	for attempt := 0; ; attempt++ {
@@ -128,7 +129,10 @@ type Dir struct {
 	// before it fails for good).
 	ioRetries atomic.Uint64
 
-	mu    sync.Mutex
+	// mu guards files. Page reads hold it shared, so faults on different
+	// pages proceed in parallel; writes, syncs and anything that opens,
+	// closes or removes a file hold it exclusively.
+	mu    sync.RWMutex
 	files map[oid.PartitionID]*os.File
 }
 
@@ -164,7 +168,7 @@ func partFileName(part oid.PartitionID) string {
 }
 
 // file returns the open handle for part, opening (and optionally
-// creating) the file. Caller holds d.mu.
+// creating) the file. Caller holds d.mu exclusively.
 func (d *Dir) file(part oid.PartitionID, create bool) (*os.File, error) {
 	if f, ok := d.files[part]; ok {
 		return f, nil
@@ -261,16 +265,19 @@ func (d *Dir) WriteAbsent(part oid.PartitionID, pn int, lsn uint64) error {
 }
 
 // ReadPage reads slot pn of part. On success it returns the page bytes
-// (a fresh slice of exactly the page size) and the slot's pageLSN. An
+// and the slot's pageLSN; the page is a view into the one buffer the
+// slot was read into (len = cap = page size), owned by the caller. An
 // explicitly-absent or never-written slot returns ErrAbsent (with the
 // recorded LSN, zero when never written); a checksum failure returns
-// ErrTorn.
+// ErrTorn; any other read failure is an I/O error, retried within the
+// transient budget. Concurrent reads run in parallel: they hold the
+// directory lock shared.
 func (d *Dir) ReadPage(part oid.PartitionID, pn int) ([]byte, uint64, error) {
 	if pn < 1 {
 		return nil, 0, fmt.Errorf("segment: bad page number %d", pn)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	var (
 		page []byte
 		lsn  uint64
@@ -283,12 +290,32 @@ func (d *Dir) ReadPage(part oid.PartitionID, pn int) ([]byte, uint64, error) {
 	return page, lsn, err
 }
 
-// readPageLocked is one read attempt. Caller holds d.mu.
+// sharedFile returns part's open handle for a reader holding d.mu
+// shared. A handle missing from the map is opened under the exclusive
+// lock: the shared lock is dropped and re-taken around the open, and the
+// map is consulted again in case a Close or DropPartition ran between.
+func (d *Dir) sharedFile(part oid.PartitionID) (*os.File, error) {
+	for {
+		if f, ok := d.files[part]; ok {
+			return f, nil
+		}
+		d.mu.RUnlock()
+		d.mu.Lock()
+		_, err := d.file(part, false)
+		d.mu.Unlock()
+		d.mu.RLock()
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// readPageLocked is one read attempt. Caller holds d.mu shared.
 func (d *Dir) readPageLocked(part oid.PartitionID, pn int) ([]byte, uint64, error) {
 	if ferr := fpRead.Maybe(); ferr != nil {
 		return nil, 0, fmt.Errorf("segment: read part %d page %d: %w", part, pn, ferr)
 	}
-	f, err := d.file(part, false)
+	f, err := d.sharedFile(part)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, 0, ErrAbsent
@@ -298,12 +325,14 @@ func (d *Dir) readPageLocked(part oid.PartitionID, pn int) ([]byte, uint64, erro
 	buf := make([]byte, d.slotSize)
 	n, err := f.ReadAt(buf, d.slotOffset(pn))
 	switch {
+	case err != nil && err != io.EOF:
+		// A real I/O failure, whatever n is: transient until the retry
+		// budget says otherwise.
+		return nil, 0, fmt.Errorf("segment: read part %d page %d: %w", part, pn, err)
 	case n == 0:
 		return nil, 0, ErrAbsent // beyond the file: never written
 	case n < d.slotSize:
 		return nil, 0, fmt.Errorf("%w: part %d page %d (short slot)", ErrTorn, part, pn)
-	case err != nil:
-		return nil, 0, fmt.Errorf("segment: read part %d page %d: %w", part, pn, err)
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != slotMagic {
 		if allZero(buf) {
@@ -322,9 +351,7 @@ func (d *Dir) readPageLocked(part oid.PartitionID, pn int) ([]byte, uint64, erro
 	if got := int(binary.LittleEndian.Uint32(buf[20:24])); got != d.pageSize {
 		return nil, 0, fmt.Errorf("%w: part %d page %d (length %d)", ErrTorn, part, pn, got)
 	}
-	out := make([]byte, d.pageSize)
-	copy(out, buf[hdrSize:])
-	return out, lsn, nil
+	return buf[hdrSize:], lsn, nil
 }
 
 func allZero(b []byte) bool {

@@ -347,3 +347,65 @@ func TestReadExhaustionReportsWithoutFreezing(t *testing.T) {
 		t.Fatalf("read after fault cleared: lsn=%d err=%v", lsn, err)
 	}
 }
+
+func TestReadIOErrorIsTransientNotAbsent(t *testing.T) {
+	// A read that fails on the device — here a closed handle, which
+	// returns zero bytes and an error — is an I/O error, not a missing
+	// or torn slot: it must go through the retry budget, and the loader
+	// must never mistake it for a trimmed page.
+	d := openDir(t, 64)
+	if err := d.WritePage(1, 1, pageOf(5, 64), 3); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	d.files[1].Close()
+	d.mu.Unlock()
+	before := d.IORetries()
+	_, _, err := d.ReadPage(1, 1)
+	if err == nil {
+		t.Fatal("read through a closed handle succeeded")
+	}
+	if errors.Is(err, ErrAbsent) || errors.Is(err, ErrTorn) {
+		t.Fatalf("I/O error misclassified as permanent: %v", err)
+	}
+	if d.IORetries() == before {
+		t.Fatal("I/O error did not consume the retry budget")
+	}
+}
+
+func TestReadPageBufferContract(t *testing.T) {
+	// ReadPage hands back one buffer the caller owns: exactly a page
+	// long (no spare capacity to append into the next slot's header),
+	// never aliased by a later read, and the only allocation a
+	// successful read makes.
+	const size = 256
+	d := openDir(t, size)
+	if err := d.WritePage(1, 1, pageOf(9, size), 4); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := d.ReadPage(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != size || cap(got) != size {
+		t.Fatalf("len %d cap %d, want %d and %d", len(got), cap(got), size, size)
+	}
+	for i := range got {
+		got[i] = 0
+	}
+	again, _, err := d.ReadPage(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(pageOf(9, size)) {
+		t.Fatal("writing into a returned page changed a later read")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := d.ReadPage(1, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ReadPage allocates %v times per successful read, want 1", allocs)
+	}
+}

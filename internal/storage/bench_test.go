@@ -2,6 +2,8 @@ package storage
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/oid"
@@ -28,19 +30,26 @@ func benchStore(b *testing.B, disk bool, frames int) (*Store, []oid.OID) {
 	} else {
 		s = New(WithPageSize(4096))
 	}
-	if err := s.CreatePartition(1); err != nil {
+	return s, benchFill(b, s, 1)
+}
+
+// benchFill creates partition part and fills it with 100-byte objects
+// until it spans ~64 pages.
+func benchFill(b *testing.B, s *Store, part oid.PartitionID) []oid.OID {
+	b.Helper()
+	if err := s.CreatePartition(part); err != nil {
 		b.Fatal(err)
 	}
 	var oids []oid.OID
 	data := make([]byte, 100)
 	for len(oids) == 0 || int(oids[len(oids)-1].Page()) < 64 {
-		o, err := s.Allocate(1, data)
+		o, err := s.Allocate(part, data)
 		if err != nil {
 			b.Fatal(err)
 		}
 		oids = append(oids, o)
 	}
-	return s, oids
+	return oids
 }
 
 func benchRead(b *testing.B, s *Store, oids []oid.OID) {
@@ -48,6 +57,7 @@ func benchRead(b *testing.B, s *Store, oids []oid.OID) {
 	rng := rand.New(rand.NewSource(1))
 	order := rng.Perm(len(oids))
 	buf := make([]byte, 0, 128)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -62,6 +72,7 @@ func benchUpdate(b *testing.B, s *Store, oids []oid.OID) {
 	rng := rand.New(rand.NewSource(1))
 	order := rng.Perm(len(oids))
 	data := make([]byte, 100)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data[0] = byte(i)
@@ -84,6 +95,38 @@ func BenchmarkReadDiskHit(b *testing.B) {
 func BenchmarkReadDiskMiss(b *testing.B) {
 	s, oids := benchStore(b, true, 8) // 8 frames vs ~64 pages: mostly faults
 	benchRead(b, s, oids)
+}
+
+// BenchmarkReadDiskMissParallel gives each parallel goroutine its own
+// ~64-page partition, with the pool at 1/8 of all pages: nearly every
+// read faults, and faults on different partitions contend only on the
+// pool's bookkeeping, never on each other's segment I/O.
+func BenchmarkReadDiskMissParallel(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	s, err := NewDiskBacked(b.TempDir(), procs*64/8, WithPageSize(4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	parts := make([][]oid.OID, procs)
+	for i := range parts {
+		parts[i] = benchFill(b, s, oid.PartitionID(i+1))
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		oids := parts[int(next.Add(1)-1)%procs]
+		order := rand.New(rand.NewSource(int64(len(oids)))).Perm(len(oids))
+		buf := make([]byte, 0, 128)
+		var err error
+		for i := 0; pb.Next(); i++ {
+			if buf, err = s.Read(oids[order[i%len(order)]], buf[:0]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 func BenchmarkUpdateMemory(b *testing.B) {

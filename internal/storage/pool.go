@@ -51,8 +51,10 @@ type frame struct {
 }
 
 // pool is the buffer pool shared by all partitions of one disk-backed
-// Store. Lock order: partition.mu before pool.mu, never the reverse —
-// pool.mu is a leaf (except for segment and WAL calls made under it).
+// Store. Lock order: partition.mu before pool.mu, never the reverse.
+// Page reads never run under pool.mu (fetch drops it around ReadPage);
+// the segment writes and syncs of an eviction flush, and the WAL waits
+// before them, still do.
 type pool struct {
 	seg    *segment.Dir
 	budget int
@@ -103,31 +105,47 @@ func (ps PoolStats) FaultRate() float64 {
 // fetch returns the page at (p, pn) pinned, faulting it in from the
 // segment file if needed. Returns (nil, nil) when no such page exists.
 // The caller must hold p.mu (either mode) and must release the pin.
+//
+// A fault reads optimistically, holding no pool lock during the I/O:
+// the miss is counted under pl.mu, the lock is dropped for ReadPage,
+// and on re-locking a frame some other reader linked meanwhile wins —
+// this read's buffer is dropped. DESIGN.md §5.9 argues why the slot it
+// read is current.
 func (pl *pool) fetch(p *partition, pn int) (*page.Page, error) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	if pn < 1 || pn >= len(p.pages) || !p.present[pn] {
 		return nil, nil
 	}
+	pl.mu.Lock()
 	if f := p.frames[pn]; f != nil {
 		pl.hits.Add(1)
 		if c := pl.stats.Load(); c != nil {
 			c.NotePoolHit(p.id)
 		}
-		f.ref = true
-		f.pin++
-		pl.pinned.Add(1)
+		pl.pinLocked(f)
+		pl.mu.Unlock()
 		return f.pg, nil
 	}
 	pl.misses.Add(1)
 	if c := pl.stats.Load(); c != nil {
 		c.NotePoolFault(p.id)
 	}
+	pl.mu.Unlock()
+
 	data, _, err := pl.seg.ReadPage(p.id, pn)
 	if err != nil {
 		// Present in the page table but unreadable: an I/O fault (or,
 		// after a crash, a torn slot only recovery may repair).
 		return nil, fmt.Errorf("storage: partition %d page %d: %w", p.id, pn, err)
+	}
+
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if p.dropped {
+		return nil, fmt.Errorf("%w: %d", ErrNoPartition, p.id)
+	}
+	if f := p.frames[pn]; f != nil {
+		pl.pinLocked(f) // a concurrent fault of the same page linked first
+		return f.pg, nil
 	}
 	if err := pl.makeRoom(); err != nil {
 		return nil, err
@@ -137,6 +155,14 @@ func (pl *pool) fetch(p *partition, pn int) (*page.Page, error) {
 	pl.link(f)
 	pl.pinned.Add(1)
 	return f.pg, nil
+}
+
+// pinLocked pins a resident frame and marks it referenced. Caller holds
+// pl.mu.
+func (pl *pool) pinLocked(f *frame) {
+	f.ref = true
+	f.pin++
+	pl.pinned.Add(1)
 }
 
 // release drops one pin. Caller must hold p.mu.
@@ -214,9 +240,12 @@ func (pl *pool) dropPage(p *partition, pn int) error {
 }
 
 // dropPartition discards p's frames and deletes its segment file.
-// Caller holds the store map lock; p is unreachable afterwards.
+// Caller holds the store map lock; p is unreachable afterwards. Marking
+// p dropped under pl.mu stops a fetch whose unlocked read straddles the
+// drop from linking a frame for the unreachable partition.
 func (pl *pool) dropPartition(p *partition) error {
 	pl.mu.Lock()
+	p.dropped = true
 	for _, f := range p.frames {
 		if f != nil {
 			pl.unlink(f)

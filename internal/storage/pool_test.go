@@ -2,12 +2,15 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	apstats "repro/internal/autopilot/stats"
+	"repro/internal/fault"
 	"repro/internal/interleave"
 	"repro/internal/oid"
 )
@@ -448,4 +451,196 @@ func TestPoolInterleaveTrace(t *testing.T) {
 	if kinds[interleave.Flush] == 0 {
 		t.Fatal("no flush events from dirty evictions")
 	}
+}
+
+// armSegmentRead installs a fault registry with one trigger on
+// segment/read for the rest of the test.
+func armSegmentRead(t *testing.T, tr fault.Trigger) *fault.Registry {
+	t.Helper()
+	reg := fault.NewRegistry(1)
+	tr.Point = fault.SegmentRead
+	reg.Arm(tr)
+	t.Cleanup(fault.Install(reg))
+	return reg
+}
+
+// awaitReadInFlight waits until some fault has entered segment/read —
+// with a delay trigger armed, that read is now stalled inside it.
+func awaitReadInFlight(reg *fault.Registry) {
+	for reg.Hits(fault.SegmentRead) == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// liveFrames counts the frames in the clock ring that hold (p, pn).
+func liveFrames(s *Store, p *partition, pn int) int {
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	n := 0
+	for _, f := range s.pool.clock {
+		if !f.dead && f.part == p && f.pn == pn {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPoolFaultDoesNotBlockHits stalls one page fault inside its segment
+// read and checks that, while it is stalled, a hit on another partition
+// and a fault on a third both complete. The witness is ordering, not
+// elapsed time: the stalled fault must not have linked its frame yet.
+func TestPoolFaultDoesNotBlockHits(t *testing.T) {
+	s := newPoolStore(t, 64, WithPageSize(1024))
+	a := fillPages(t, s, 1, 2)
+	b := fillPages(t, s, 2, 2)
+	c := fillPages(t, s, 3, 2)
+	// A cold, clean pool: no access below needs an eviction flush, which
+	// would queue a segment write behind the stalled read.
+	if err := s.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(b[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	reg := armSegmentRead(t, fault.Trigger{Kind: fault.KindDelay, Delay: 2 * time.Second})
+
+	stalled := make(chan error, 1)
+	go func() {
+		_, err := s.Read(a[0], nil)
+		stalled <- err
+	}()
+	awaitReadInFlight(reg)
+
+	if _, err := s.Read(b[0], nil); err != nil {
+		t.Fatalf("hit on partition 2: %v", err)
+	}
+	if _, err := s.Read(c[0], nil); err != nil {
+		t.Fatalf("fault on partition 3: %v", err)
+	}
+	p1, err := s.part(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if liveFrames(s, p1, int(a[0].Page())) != 0 {
+		t.Fatal("the hit and the second fault completed only after the stalled fault linked its frame")
+	}
+	select {
+	case <-stalled:
+		t.Fatal("the stalled fault finished before the hit and the second fault")
+	default:
+	}
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalled fault: %v", err)
+	}
+}
+
+// TestPoolConcurrentFaultSamePage races readers faulting one cold page,
+// each read widened by a delay: every reader sees the same bytes, the
+// page ends up in exactly one frame, and each segment read counts as
+// one miss. The error and drop variants check that a failed or orphaned
+// read links no frame and leaks no pin.
+func TestPoolConcurrentFaultSamePage(t *testing.T) {
+	const readers = 8
+	setup := func(t *testing.T) (*Store, oid.OID, []byte) {
+		s := newPoolStore(t, 4, WithPageSize(1024))
+		target := fillPages(t, s, 1, 6)[0]
+		want, err := s.Read(target, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		return s, target, want
+	}
+	readAll := func(s *Store, target oid.OID) ([][]byte, []error) {
+		got := make([][]byte, readers)
+		errs := make([]error, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got[i], errs[i] = s.Read(target, nil)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		return got, errs
+	}
+
+	t.Run("same-bytes", func(t *testing.T) {
+		s, target, want := setup(t)
+		before := s.PoolStats()
+		reg := armSegmentRead(t, fault.Trigger{Kind: fault.KindDelay, Delay: 20 * time.Millisecond, Times: readers})
+		got, errs := readAll(s, target)
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("reader %d: %v", i, errs[i])
+			}
+			if !bytes.Equal(got[i], want) {
+				t.Fatalf("reader %d read different bytes", i)
+			}
+		}
+		p, _ := s.part(1)
+		if n := liveFrames(s, p, int(target.Page())); n != 1 {
+			t.Fatalf("%d live frames for the page, want 1", n)
+		}
+		st := s.PoolStats()
+		if st.Resident != 1 || st.Pinned != 0 || st.Resident > st.Budget {
+			t.Fatalf("resident %d pinned %d budget %d, want 1, 0, >= resident", st.Resident, st.Pinned, st.Budget)
+		}
+		if misses, reads := st.Misses-before.Misses, uint64(reg.Hits(fault.SegmentRead)); misses != reads {
+			t.Fatalf("%d misses for %d segment reads", misses, reads)
+		}
+	})
+
+	t.Run("read-error", func(t *testing.T) {
+		s, target, want := setup(t)
+		reg := armSegmentRead(t, fault.Trigger{Kind: fault.KindError, Times: fault.Forever})
+		_, errs := readAll(s, target)
+		for i, err := range errs {
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("reader %d: err = %v, want the injected read error", i, err)
+			}
+		}
+		p, _ := s.part(1)
+		if n := liveFrames(s, p, int(target.Page())); n != 0 {
+			t.Fatalf("%d frames linked by failed reads", n)
+		}
+		if st := s.PoolStats(); st.Resident != 0 || st.Pinned != 0 {
+			t.Fatalf("resident %d pinned %d after failed reads, want 0 and 0", st.Resident, st.Pinned)
+		}
+		reg.Disarm(fault.SegmentRead)
+		got, err := s.Read(target, nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after disarm: err = %v, bytes equal = %v", err, bytes.Equal(got, want))
+		}
+	})
+
+	t.Run("drop", func(t *testing.T) {
+		s, target, _ := setup(t)
+		reg := armSegmentRead(t, fault.Trigger{Kind: fault.KindDelay, Delay: time.Second})
+		p, _ := s.part(1)
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Read(target, nil)
+			done <- err
+		}()
+		awaitReadInFlight(reg)
+		if err := s.DropPartition(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; !errors.Is(err, ErrNoPartition) {
+			t.Fatalf("fault straddling the drop: err = %v, want ErrNoPartition", err)
+		}
+		if n := liveFrames(s, p, int(target.Page())); n != 0 {
+			t.Fatalf("%d frames linked for the dropped partition", n)
+		}
+		if st := s.PoolStats(); st.Resident != 0 || st.Pinned != 0 {
+			t.Fatalf("resident %d pinned %d after the drop, want 0 and 0", st.Resident, st.Pinned)
+		}
+	})
 }

@@ -119,6 +119,7 @@ type partition struct {
 	// Disk-backed mode only; same length as pages.
 	present []bool   // page logically exists (may be on disk only)
 	frames  []*frame // resident pages' buffer-pool frames
+	dropped bool     // DropPartition ran; guarded by pool.mu
 }
 
 // Option configures a Store.
