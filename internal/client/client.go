@@ -16,6 +16,23 @@
 // returns ErrCommitUnknown: the commit may or may not have applied, and
 // only an application-level read can tell.
 //
+// Write-behind. Update, InsertRef, DeleteRef, RetargetRef and Delete
+// are answered only "ok", so they do no I/O: each takes its request ID,
+// joins the transaction's queue and returns nil at once. The next call
+// that needs an answer — Read, Create, Batch or Commit — sends the queue
+// followed by itself as one OpBatch frame. The server runs the entries
+// in submission order (so a transaction reads its own writes) and stops
+// at the first failure. A queued op that fails is reported by that
+// flushing call as ErrAborted, with a message naming the op: the server
+// has aborted the transaction and answered the flushing op "not
+// executed", and the connection, still in protocol sync, goes back to
+// the pool. Commit sends [queued…, Commit], so a connection lost on that
+// frame still returns ErrCommitUnknown. Abort drops the queue unsent, as
+// does a connection failure. When the next op would take the batch past
+// wire.MaxFrame, the queue is first sent alone, and its failure is raised
+// by the call that triggered the send; an op no frame can carry fails at
+// once and ends the transaction. Begin stays synchronous.
+//
 // RETRY_AFTER handling. A shed response (or handshake) carries the
 // server's backoff hint; the retry sleeps hint plus jitter. Begin does
 // not sleep — it surfaces *ShedError so load drivers can count sheds
@@ -25,6 +42,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -156,6 +174,18 @@ func (cn *conn) roundTrip(req wire.Request, timeout time.Duration) (wire.Respons
 	}
 	if resp.ID != req.ID {
 		return wire.Response{}, fmt.Errorf("client: response ID %d for request %d (stream desync)", resp.ID, req.ID)
+	}
+	if req.Op == wire.OpBatch {
+		// Callers index the sub-responses by sub-request, so a batch
+		// answer of any other shape is a desync too.
+		if len(resp.Sub) != len(req.Sub) {
+			return wire.Response{}, fmt.Errorf("client: batch %d answered with %d sub-responses for %d sub-requests (stream desync)", req.ID, len(resp.Sub), len(req.Sub))
+		}
+		for i := range req.Sub {
+			if resp.Sub[i].ID != req.Sub[i].ID {
+				return wire.Response{}, fmt.Errorf("client: batch %d sub-response %d has ID %d for sub-request %d (stream desync)", req.ID, i, resp.Sub[i].ID, req.Sub[i].ID)
+			}
+		}
 	}
 	return resp, nil
 }
@@ -377,10 +407,16 @@ func (c *Client) Roots(name string) ([]oid.OID, error) {
 }
 
 // Txn is an open server-side transaction pinned to one connection.
+// Result-less ops wait in its queue until the next call that needs an
+// answer (see "Write-behind" in the package comment).
 type Txn struct {
 	c    *Client
 	cn   *conn
 	done bool
+	// queue holds the write-behind ops not yet sent, in submission
+	// order; queueBytes is their encoded size as batch sub-requests.
+	queue      []wire.Request
+	queueBytes int
 }
 
 // Begin opens a transaction. A shed Begin returns *ShedError without
@@ -435,10 +471,12 @@ func (c *Client) BeginRetry() (*Txn, error) {
 	return nil, fmt.Errorf("client: begin gave up after %d retries: %w", c.cfg.MaxRetries, lastErr)
 }
 
-// finish releases the transaction's connection; broken tells whether
-// the connection is still protocol-clean enough to pool.
+// finish releases the transaction's connection and drops its queue;
+// broken tells whether the connection is still protocol-clean enough to
+// pool.
 func (t *Txn) finish(broken bool) {
 	t.done = true
+	t.queue, t.queueBytes = nil, 0
 	if broken {
 		t.cn.close()
 	} else {
@@ -447,19 +485,136 @@ func (t *Txn) finish(broken bool) {
 	t.cn = nil
 }
 
-// op runs one transactional request. No automatic retry (see the
-// package comment); any failure ends the transaction.
+// reqFixed is the encoded size of a request whose variable-length fields
+// are empty, measured with the encoder so it follows the wire layout.
+var reqFixed = func() int {
+	b, err := wire.EncodeRequest(wire.Request{})
+	if err != nil {
+		panic(err)
+	}
+	return len(b)
+}()
+
+// reqSize is len(wire.EncodeRequest(r)) for a request without
+// sub-requests.
+func reqSize(r wire.Request) int {
+	return reqFixed + len(r.Payload) + 8*len(r.Refs) + len(r.Name)
+}
+
+// share is what req adds to a batch frame that already carries the
+// queue: itself, or its sub-requests when it is a batch.
+func share(req wire.Request) int {
+	if req.Op != wire.OpBatch {
+		return reqSize(req)
+	}
+	n := 0
+	for _, sub := range req.Sub {
+		n += reqSize(sub)
+	}
+	return n
+}
+
+// enqueue queues a result-less op: it takes its request ID now and
+// travels in front of the next call that needs an answer.
+func (t *Txn) enqueue(req wire.Request) error {
+	if t.done {
+		return ErrTxnDone
+	}
+	req.ID = t.c.id()
+	n := reqSize(req)
+	if reqFixed+n > wire.MaxFrame {
+		// No frame can carry it. Fail as an oversized synchronous op
+		// does: drop the connection, and the server aborts the orphan.
+		t.finish(true)
+		return fmt.Errorf("client: %s of %s: %w", req.Op, req.OID, wire.ErrFrameTooLarge)
+	}
+	if err := t.makeRoom(n); err != nil {
+		return err
+	}
+	t.queue = append(t.queue, req)
+	t.queueBytes += n
+	return nil
+}
+
+// makeRoom sends the queue alone when n more bytes would take the next
+// batch frame past wire.MaxFrame.
+func (t *Txn) makeRoom(n int) error {
+	if len(t.queue) == 0 || reqFixed+t.queueBytes+n <= wire.MaxFrame {
+		return nil
+	}
+	_, err := t.flush(wire.Request{Op: wire.OpBatch})
+	return err
+}
+
+// flush sends req with the queued ops in front of it, in one frame, and
+// returns req's answer. With nothing queued req goes out as itself;
+// otherwise the queue and req (or req's sub-requests) travel as one
+// batch. A transport failure or a failed queued op finishes the
+// transaction; a failure of req itself is left to the caller.
+func (t *Txn) flush(req wire.Request) (wire.Response, error) {
+	n, out := len(t.queue), req
+	if n > 0 {
+		out = wire.Request{ID: t.c.id(), Op: wire.OpBatch, DeadlineMs: t.c.deadlineMs()}
+		if req.Op == wire.OpBatch {
+			out.Sub = append(t.queue, req.Sub...)
+		} else {
+			out.Sub = append(t.queue, req)
+		}
+		t.queue, t.queueBytes = t.queue[:0], 0
+	}
+	resp, err := t.cn.roundTrip(out, t.c.cfg.RequestTimeout)
+	if err != nil {
+		// Connection lost (or desynced) mid-transaction: the server
+		// aborts the orphan.
+		t.finish(true)
+		return wire.Response{}, err
+	}
+	if n == 0 {
+		return resp, nil
+	}
+	ans := wire.Response{ID: req.ID, Status: resp.Status, RetryAfterMs: resp.RetryAfterMs, Sub: resp.Sub[n:]}
+	if req.Op != wire.OpBatch {
+		ans = resp.Sub[n]
+	}
+	for i, sub := range resp.Sub {
+		if sub.Status == wire.StatusOK {
+			continue
+		}
+		if i < n {
+			// The server aborted the transaction at a queued op and
+			// answered req "not executed"; the stream is still in sync.
+			q := out.Sub[i]
+			t.finish(false)
+			return ans, fmt.Errorf("%w: queued %s of %s: %s: %s", ErrAborted, q.Op, q.OID, sub.Status, sub.Msg)
+		}
+		if req.Op == wire.OpBatch {
+			ans.Msg = fmt.Sprintf("batch op %d (%s): %s", i-n, out.Sub[i].Op, sub.Msg)
+		}
+		break
+	}
+	return ans, nil
+}
+
+// op runs one request that needs an answer, flushing the queue with it.
+// No automatic retry (see the package comment); any failure ends the
+// transaction, except that a successful Commit leaves finishing to
+// Commit.
 func (t *Txn) op(req wire.Request) (wire.Response, error) {
 	if t.done {
 		return wire.Response{}, ErrTxnDone
 	}
 	req.ID = t.c.id()
 	req.DeadlineMs = t.c.deadlineMs()
-	resp, err := t.cn.roundTrip(req, t.c.cfg.RequestTimeout)
-	if err != nil {
-		// Connection lost mid-transaction: the server aborts the orphan.
-		t.finish(true)
+	if err := t.makeRoom(share(req)); err != nil {
 		return wire.Response{}, err
+	}
+	resp, err := t.flush(req)
+	if err != nil {
+		if req.Op == wire.OpCommit && !errors.Is(err, ErrAborted) {
+			// The commit went out and its answer did not come back.
+			err = fmt.Errorf("%w: %v", ErrCommitUnknown, err)
+		}
+		return resp, err
 	}
 	if resp.Status != wire.StatusOK {
 		// The server aborted the transaction (op failure, deadline) or
@@ -493,38 +648,35 @@ func (t *Txn) Create(part oid.PartitionID, payload []byte, refs []oid.OID) (oid.
 	return resp.OID, nil
 }
 
-// Update rewrites an object's payload.
+// Update rewrites an object's payload (write-behind). The payload is
+// copied, so the caller may reuse it at once.
 func (t *Txn) Update(o oid.OID, payload []byte) error {
-	_, err := t.op(wire.Request{Op: wire.OpUpdate, OID: o, Payload: payload})
-	return err
+	return t.enqueue(wire.Request{Op: wire.OpUpdate, OID: o, Payload: bytes.Clone(payload)})
 }
 
-// InsertRef adds a reference o → child.
+// InsertRef adds a reference o → child (write-behind).
 func (t *Txn) InsertRef(o, child oid.OID) error {
-	_, err := t.op(wire.Request{Op: wire.OpInsertRef, OID: o, OID2: child})
-	return err
+	return t.enqueue(wire.Request{Op: wire.OpInsertRef, OID: o, OID2: child})
 }
 
-// DeleteRef removes one reference o → child.
+// DeleteRef removes one reference o → child (write-behind).
 func (t *Txn) DeleteRef(o, child oid.OID) error {
-	_, err := t.op(wire.Request{Op: wire.OpDeleteRef, OID: o, OID2: child})
-	return err
+	return t.enqueue(wire.Request{Op: wire.OpDeleteRef, OID: o, OID2: child})
 }
 
-// RetargetRef swings one reference o → from to o → to.
+// RetargetRef swings one reference o → from to o → to (write-behind).
 func (t *Txn) RetargetRef(o, from, to oid.OID) error {
-	_, err := t.op(wire.Request{Op: wire.OpRetargetRef, OID: o, OID2: from, OID3: to})
-	return err
+	return t.enqueue(wire.Request{Op: wire.OpRetargetRef, OID: o, OID2: from, OID3: to})
 }
 
-// Delete removes an object.
+// Delete removes an object (write-behind).
 func (t *Txn) Delete(o oid.OID) error {
-	_, err := t.op(wire.Request{Op: wire.OpDelete, OID: o})
-	return err
+	return t.enqueue(wire.Request{Op: wire.OpDelete, OID: o})
 }
 
-// Batch pipelines several ops in one frame (server executes in order,
-// stopping at the first failure). Sub-request IDs are assigned here.
+// Batch sends several ops in one frame, behind the queued ones (the
+// server executes in order, stopping at the first failure). Sub-request
+// IDs are assigned here.
 func (t *Txn) Batch(subs []wire.Request) ([]wire.Response, error) {
 	if t.done {
 		return nil, ErrTxnDone
@@ -538,30 +690,23 @@ func (t *Txn) Batch(subs []wire.Request) ([]wire.Response, error) {
 	return resp.Sub, err
 }
 
-// Commit commits the transaction. A lost response returns
-// ErrCommitUnknown: the commit may have applied.
+// Commit sends the queued ops and the commit in one frame. A lost
+// response returns ErrCommitUnknown: the commit may have applied.
 func (t *Txn) Commit() error {
-	if t.done {
-		return ErrTxnDone
+	_, err := t.op(wire.Request{Op: wire.OpCommit})
+	if err == nil {
+		t.finish(false)
 	}
-	req := wire.Request{ID: t.c.id(), Op: wire.OpCommit, DeadlineMs: t.c.deadlineMs()}
-	resp, err := t.cn.roundTrip(req, t.c.cfg.RequestTimeout)
-	if err != nil {
-		t.finish(true)
-		return fmt.Errorf("%w: %v", ErrCommitUnknown, err)
-	}
-	t.finish(false)
-	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("%w: %s: %s", ErrAborted, resp.Status, resp.Msg)
-	}
-	return nil
+	return err
 }
 
-// Abort rolls the transaction back. Safe on a finished handle.
+// Abort rolls the transaction back, dropping the queue unsent. Safe on
+// a finished handle.
 func (t *Txn) Abort() error {
 	if t.done {
 		return nil
 	}
+	t.queue, t.queueBytes = nil, 0
 	req := wire.Request{ID: t.c.id(), Op: wire.OpAbort, DeadlineMs: t.c.deadlineMs()}
 	resp, err := t.cn.roundTrip(req, t.c.cfg.RequestTimeout)
 	if err != nil {

@@ -3,7 +3,9 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,10 +17,14 @@ import (
 )
 
 // countingListener hands out conns that count the server's Read and
-// Write calls — one call is one read(2)/write(2) on a TCP conn.
+// Write calls — one call is one read(2)/write(2) on a TCP conn — and
+// record the payload size of every frame the server reads.
 type countingListener struct {
 	net.Listener
 	reads, writes atomic.Int64
+
+	mu     sync.Mutex
+	frames []int // incoming frame payload sizes, Hello included
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
@@ -29,16 +35,63 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return &countingConn{Conn: c, l: l}, nil
 }
 
+// countingWorld is a world whose listener counts frames and syscalls.
+func countingWorld(t *testing.T) (*world, *countingListener) {
+	t.Helper()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	return newWorldOn(t, server.Config{}, ln), ln
+}
+
+// frameSizes returns the payload sizes of the frames read so far.
+func (l *countingListener) frameSizes() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]int(nil), l.frames...)
+}
+
 type countingConn struct {
 	net.Conn
 	l *countingListener
+
+	// The frame scanner: hdr collects a length prefix, body counts the
+	// payload bytes still to come.
+	hdr  []byte
+	body int
 }
 
 // Calls are counted on entry, so a response the client has already
 // received is always counted.
 func (c *countingConn) Read(p []byte) (int, error) {
 	c.l.reads.Add(1)
-	return c.Conn.Read(p)
+	n, err := c.Conn.Read(p)
+	c.scan(p[:n])
+	return n, err
+}
+
+// scan splits the incoming byte stream into frames.
+func (c *countingConn) scan(b []byte) {
+	for len(b) > 0 {
+		if c.body > 0 {
+			k := min(c.body, len(b))
+			c.body -= k
+			b = b[k:]
+			continue
+		}
+		k := min(4-len(c.hdr), len(b))
+		c.hdr = append(c.hdr, b[:k]...)
+		b = b[k:]
+		if len(c.hdr) == 4 {
+			c.body = int(binary.LittleEndian.Uint32(c.hdr))
+			c.hdr = c.hdr[:0]
+			c.l.mu.Lock()
+			c.l.frames = append(c.l.frames, c.body)
+			c.l.mu.Unlock()
+		}
+	}
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
@@ -50,17 +103,14 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // frame with exactly one Write (the Welcome included), and its buffered
 // reader needs at most one Read per incoming frame (plus the Read the
 // request loop is parked in). The fault points still fire per frame,
-// not per syscall.
+// not per syscall. It also pins the client's write-behind: a transaction
+// of Begin, Read, Update and Commit is three frames, because the Update
+// travels in one batch frame with the Commit.
 func TestOneSyscallPerFrame(t *testing.T) {
 	reg := fault.NewRegistry(1) // nothing armed: counts hits only
 	defer fault.Install(reg)()
 
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := &countingListener{Listener: inner}
-	w := newWorldOn(t, server.Config{}, ln)
+	w, ln := countingWorld(t)
 	cl := w.client(t, client.Config{PoolSize: 1})
 
 	const k = 25
@@ -80,13 +130,16 @@ func TestOneSyscallPerFrame(t *testing.T) {
 		}
 	}
 
-	const requests = 4 * k
-	const frames = 1 + requests // the Hello/Welcome plus one frame per op
+	const requests = 3 * k      // Begin, Read, [Update, Commit]
+	const frames = 1 + requests // plus the Hello/Welcome
 	if got := ln.writes.Load(); got != frames {
 		t.Errorf("server Writes = %d for %d outgoing frames, want exactly one per frame", got, frames)
 	}
 	if got := ln.reads.Load(); got < frames || got > frames+1 {
 		t.Errorf("server Reads = %d for %d incoming frames, want %d..%d", got, frames, frames, frames+1)
+	}
+	if got := len(ln.frameSizes()); got != frames {
+		t.Errorf("server read %d frames, want %d", got, frames)
 	}
 
 	// Per-frame fault points: stall and read run once before each read
@@ -238,9 +291,9 @@ func TestByteAtATimeFramesServed(t *testing.T) {
 }
 
 // BenchmarkRoundTrip is one wire transaction over loopback — Begin,
-// Read(excl), Update, Commit — against an in-memory database: four
-// frames each way. It reports ns/op and allocs/op and asserts no time
-// budget.
+// Read(excl), Update, Commit — against an in-memory database: three
+// frames each way, since the Update rides in the Commit's batch. It
+// reports ns/op and allocs/op and asserts no time budget.
 func BenchmarkRoundTrip(b *testing.B) {
 	w := newWorld(b, server.Config{})
 	cl := w.client(b, client.Config{PoolSize: 1})

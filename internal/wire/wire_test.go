@@ -98,6 +98,18 @@ var goldenRequests = []Request{
 		{ID: 7, Op: OpRead, OID: oid.New(3, 3, 3)},
 		{ID: 8, Op: OpUpdate, OID: oid.New(3, 3, 3), Payload: []byte("new")},
 	}},
+	// The frames a write-behind client sends: queued writes in front of
+	// the op that needs an answer, a Read or the Commit.
+	{ID: 11, Op: OpBatch, DeadlineMs: 5000, Sub: []Request{
+		{ID: 9, Op: OpUpdate, OID: oid.New(2, 4, 6), Payload: []byte("p00-c0001 v3..")},
+		{ID: 10, Op: OpRead, OID: oid.New(2, 4, 7), Mode: 1},
+	}},
+	{ID: 16, Op: OpBatch, DeadlineMs: 5000, Sub: []Request{
+		{ID: 12, Op: OpUpdate, OID: oid.New(2, 4, 6), Payload: []byte("a")},
+		{ID: 13, Op: OpInsertRef, OID: oid.New(2, 4, 6), OID2: oid.New(2, 4, 7)},
+		{ID: 14, Op: OpUpdate, OID: oid.New(2, 4, 7), Payload: []byte("b")},
+		{ID: 15, Op: OpCommit},
+	}},
 }
 
 var goldenResponses = []Response{
@@ -108,6 +120,18 @@ var goldenResponses = []Response{
 	{ID: 5, Status: StatusOK, Sub: []Response{
 		{ID: 6, Status: StatusOK, Payload: []byte("a")},
 		{ID: 7, Status: StatusErr, Msg: "x"},
+	}},
+	// Answers to write-behind frames: a queued write then its Read, and
+	// a batch that failed at entry 0 with the rest "not executed".
+	{ID: 11, Status: StatusOK, Sub: []Response{
+		{ID: 9, Status: StatusOK},
+		{ID: 10, Status: StatusOK, Payload: []byte("p00-c0002 v1.."), Refs: []oid.OID{oid.New(2, 4, 6)}},
+	}},
+	{ID: 16, Status: StatusErr, Msg: "batch op 0 (update): object not found", Sub: []Response{
+		{ID: 12, Status: StatusErr, Msg: "object not found"},
+		{ID: 13, Status: StatusErr, Msg: "not executed: earlier op in batch failed"},
+		{ID: 14, Status: StatusErr, Msg: "not executed: earlier op in batch failed"},
+		{ID: 15, Status: StatusErr, Msg: "not executed: earlier op in batch failed"},
 	}},
 }
 
