@@ -185,13 +185,24 @@ func (a *Analyzer) Observe(r *wal.Record) {
 	case wal.RecRefDelete:
 		a.noteDelete(r.Child, r.Identity(), r.Txn)
 	case wal.RecRefUpdate:
-		// Every occurrence of Child in the before-image was retargeted
-		// to Child2.
-		n := 1
-		if obj, err := object.Decode(r.Before); err == nil {
-			if c := obj.CountRef(r.Child); c > 0 {
-				n = c
+		// A retarget rewrites its references in place, so the edges it
+		// moved are the positions holding Child before and Child2 after.
+		// Counting Child's occurrences alone would be wrong for a CLR:
+		// its before-image is the forward after-image, which may hold
+		// Child (the forward target) at positions the retarget never
+		// touched.
+		n := 0
+		before, berr := object.DecodeRefs(r.Before)
+		after, aerr := object.DecodeRefs(r.After)
+		if berr == nil && aerr == nil && len(before) == len(after) {
+			for i, c := range before {
+				if c == r.Child && after[i] == r.Child2 {
+					n++
+				}
 			}
+		}
+		if n == 0 {
+			n = 1
 		}
 		for i := 0; i < n; i++ {
 			a.noteDelete(r.Child, r.Identity(), r.Txn)

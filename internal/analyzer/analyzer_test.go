@@ -91,6 +91,34 @@ func TestRefUpdateRetargetsAllOccurrences(t *testing.T) {
 	}
 }
 
+// TestRefUpdateCompensationMovesOnlyRetargetedEdges undoes a retarget
+// whose target the parent already referenced: the CLR's before-image
+// holds the target twice, but only one edge moves back.
+func TestRefUpdateCompensationMovesOnlyRetargetedEdges(t *testing.T) {
+	a, _ := newWithTables()
+	a.ERT(1).AddRef(inP1, parent)
+	a.ERT(2).AddRef(inP2, parent)
+	fwd := &wal.Record{
+		Type: wal.RecRefUpdate, Txn: 5, OID: parent, Child: inP1, Child2: inP2,
+		Before: object.Encode(object.Object{Refs: []oid.OID{inP1, inP2}}),
+		After:  object.Encode(object.Object{Refs: []oid.OID{inP2, inP2}}),
+	}
+	a.Observe(fwd)
+	a.Observe(fwd.Compensation())
+	for part, child := range map[oid.PartitionID]oid.OID{1: inP1, 2: inP2} {
+		n := 0
+		a.ERT(part).Range(func(c, p oid.OID, count int) bool {
+			if c == child && p == parent {
+				n = count
+			}
+			return true
+		})
+		if n != 1 {
+			t.Errorf("after retarget and undo, %s has %d refs from parent, want 1", child, n)
+		}
+	}
+}
+
 func TestCreateLogsInitialRefs(t *testing.T) {
 	a, tr := newWithTables()
 	img := object.Encode(object.Object{Refs: []oid.OID{inP1, inP2}, Payload: []byte("x")})

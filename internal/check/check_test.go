@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/oid"
+	"repro/internal/wal"
 )
 
 func openDB(t *testing.T, parts int) *db.Database {
@@ -67,7 +68,7 @@ func TestVerifyDetectsDangling(t *testing.T) {
 	d := openDB(t, 2)
 	root, _, b, _ := buildGraph(t, d)
 	// Free b behind the database's back: a's reference now dangles.
-	if err := d.Store().Free(b); err != nil {
+	if err := d.Store().Apply(&wal.Record{Type: wal.RecDelete, OID: b}, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Verify(d, []oid.OID{root})

@@ -129,34 +129,3 @@ func TestBatchResponseShapeChecked(t *testing.T) {
 		})
 	}
 }
-
-// TestReqSizeMatchesEncoder pins the frame-bound arithmetic to the
-// encoder: reqSize is a request's encoded size, and a batch is one
-// fixed header plus its sub-requests.
-func TestReqSizeMatchesEncoder(t *testing.T) {
-	subs := []wire.Request{
-		{ID: 1, Op: wire.OpUpdate, OID: oid.New(1, 2, 3), Payload: []byte("payload")},
-		{ID: 2, Op: wire.OpCreate, Part: 4, Payload: []byte("p"), Refs: []oid.OID{oid.New(1, 1, 1), oid.New(2, 2, 2)}},
-		{ID: 3, Op: wire.OpRoots, Name: "roots/3", DeadlineMs: 250},
-		{ID: 4, Op: wire.OpCommit},
-	}
-	want := reqFixed
-	for _, r := range subs {
-		b, err := wire.EncodeRequest(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reqSize(r); got != len(b) {
-			t.Fatalf("reqSize(%s) = %d, encoder wrote %d", r.Op, got, len(b))
-		}
-		want += len(b)
-	}
-	batch := wire.Request{ID: 5, Op: wire.OpBatch, Sub: subs}
-	b, err := wire.EncodeRequest(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reqFixed + share(batch); got != len(b) || got != want {
-		t.Fatalf("batch size = %d (sum %d), encoder wrote %d", got, want, len(b))
-	}
-}

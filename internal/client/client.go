@@ -485,31 +485,15 @@ func (t *Txn) finish(broken bool) {
 	t.cn = nil
 }
 
-// reqFixed is the encoded size of a request whose variable-length fields
-// are empty, measured with the encoder so it follows the wire layout.
-var reqFixed = func() int {
-	b, err := wire.EncodeRequest(wire.Request{})
-	if err != nil {
-		panic(err)
-	}
-	return len(b)
-}()
-
-// reqSize is len(wire.EncodeRequest(r)) for a request without
-// sub-requests.
-func reqSize(r wire.Request) int {
-	return reqFixed + len(r.Payload) + 8*len(r.Refs) + len(r.Name)
-}
+// batchOverhead is what a batch frame costs beyond its sub-requests.
+var batchOverhead = wire.RequestSize(wire.Request{Op: wire.OpBatch})
 
 // share is what req adds to a batch frame that already carries the
 // queue: itself, or its sub-requests when it is a batch.
 func share(req wire.Request) int {
-	if req.Op != wire.OpBatch {
-		return reqSize(req)
-	}
-	n := 0
-	for _, sub := range req.Sub {
-		n += reqSize(sub)
+	n := wire.RequestSize(req)
+	if req.Op == wire.OpBatch {
+		n -= batchOverhead
 	}
 	return n
 }
@@ -521,8 +505,8 @@ func (t *Txn) enqueue(req wire.Request) error {
 		return ErrTxnDone
 	}
 	req.ID = t.c.id()
-	n := reqSize(req)
-	if reqFixed+n > wire.MaxFrame {
+	n := wire.RequestSize(req)
+	if batchOverhead+n > wire.MaxFrame {
 		// No frame can carry it. Fail as an oversized synchronous op
 		// does: drop the connection, and the server aborts the orphan.
 		t.finish(true)
@@ -539,7 +523,7 @@ func (t *Txn) enqueue(req wire.Request) error {
 // makeRoom sends the queue alone when n more bytes would take the next
 // batch frame past wire.MaxFrame.
 func (t *Txn) makeRoom(n int) error {
-	if len(t.queue) == 0 || reqFixed+t.queueBytes+n <= wire.MaxFrame {
+	if len(t.queue) == 0 || batchOverhead+t.queueBytes+n <= wire.MaxFrame {
 		return nil
 	}
 	_, err := t.flush(wire.Request{Op: wire.OpBatch})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/oid"
+	"repro/internal/oidmap"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -132,31 +133,61 @@ func (t *Txn) ReadRefs(o oid.OID) ([]oid.OID, error) {
 	return obj.Refs, nil
 }
 
-// logApply runs one logged store mutation under the checkpoint gate
-// and the object's write latch. apply receives a logFn that appends
-// the record and returns its LSN; the store's *Logged mutators invoke
-// it inside the partition critical section, immediately before the
-// page mutation, so that per page the apply order always matches the
-// LSN order. Appending outside that section would let two
-// transactions' applies to one page invert, and a buffer-pool flush
-// in the inversion window would stamp the page past a record whose
-// effect it does not contain — recovery's redo gate would then skip
-// that record forever.
-func (t *Txn) logApply(rec *wal.Record, o oid.OID, apply func(logFn func() (wal.LSN, error)) error) error {
+// append writes rec as the transaction's next log record, chaining it
+// to the previous one.
+func (t *Txn) append(rec *wal.Record) (wal.LSN, error) {
+	rec.Txn = wal.TxnID(t.id)
+	rec.Prev = t.lastLSN
+	lsn, err := t.db.log.Append(rec)
+	if err == nil {
+		t.lastLSN = lsn
+	}
+	return lsn, err
+}
+
+// logApply logs rec and applies its effect — the page effect through
+// the store, then the map effect — under the checkpoint gate and the
+// write latch of o. The store appends the record inside the partition
+// critical section, immediately before the page mutation, so that per
+// page the apply order always matches the LSN order. Appending outside
+// that section would let two transactions' applies to one page invert,
+// and a buffer-pool flush in the inversion window would stamp the page
+// past a record whose effect it does not contain — recovery's redo gate
+// would then skip that record forever.
+func (t *Txn) logApply(rec *wal.Record, o oid.OID) error {
 	t.db.ckptGate.RLock()
 	defer t.db.ckptGate.RUnlock()
 	t.db.latches.Latch(o)
 	defer t.db.latches.Unlatch(o)
-	return apply(func() (wal.LSN, error) {
-		rec.Txn = wal.TxnID(t.id)
-		rec.Prev = t.lastLSN
-		lsn, err := t.db.log.Append(rec)
-		if err != nil {
-			return 0, err
-		}
-		t.lastLSN = lsn
-		return lsn, nil
+	if err := t.db.store.Apply(rec, func() (wal.LSN, error) { return t.append(rec) }); err != nil {
+		return err
+	}
+	oidmap.Apply(t.db.oidmap, rec)
+	return nil
+}
+
+// place allocates img in part and logs a typ record for the chosen
+// address (obj names the logical identity, if any), then applies the
+// record's map effect; the caller holds the checkpoint gate. The record
+// can only be written once the address is known, so the store invokes
+// the append while the target page is still pinned and write-locked:
+// the (allocate, log, stamp) triple is atomic with respect to both
+// checkpoints (the gate) and buffer-pool flushes (the pin). Logging after the allocation returned would open a
+// window where an eviction flushes a page holding an object no log
+// record describes — a crash there resurrects an orphan invisible to
+// redo, undo, and the reference analyzer, and the orphan's stale
+// references can dangle after a later reorganization.
+func (t *Txn) place(typ wal.RecType, part oid.PartitionID, img []byte, dense bool, obj oid.OID) (oid.OID, error) {
+	rec := &wal.Record{Type: typ, Obj: obj, After: img}
+	o, err := t.db.store.Allocate(part, img, dense, func(o oid.OID) (wal.LSN, error) {
+		rec.OID = o
+		return t.append(rec)
 	})
+	if err != nil {
+		return oid.Nil, err
+	}
+	oidmap.Apply(t.db.oidmap, rec)
+	return o, nil
 }
 
 // Create allocates a new object with the given payload and initial
@@ -172,78 +203,47 @@ func (t *Txn) CreateDense(part oid.PartitionID, payload []byte, refs []oid.OID) 
 	return t.create(part, payload, refs, true)
 }
 
+// create places and logs the new object. In logical-OID mode it mints
+// the identity and locks it before the allocation, then publishes the
+// binding: that closes the fuzzy-visibility window physical mode
+// tolerates — the identity is unresolvable until the map entry lands, so
+// no reader can observe the object before its creator holds the lock.
+// In physical mode the lock comes last because the OID is unknown before
+// allocation; the resulting window — the object is fuzzily visible
+// before its creator holds the lock — is tolerated by readers that
+// follow the fuzzy-read discipline (a reorganizer re-validates adopted
+// parents and skips ones that vanish, see reorg.moveObject).
 func (t *Txn) create(part oid.PartitionID, payload []byte, refs []oid.OID, dense bool) (oid.OID, error) {
 	if t.ended {
 		return oid.Nil, ErrTxnDone
 	}
 	img := object.Encode(object.Object{Refs: refs, Payload: payload})
+	var l oid.OID
 	if t.db.oidmap != nil {
-		return t.createLogical(part, img, dense)
+		l = t.db.oidmap.NextID(part)
+		if err := t.db.locks.Lock(t.id, l, lock.Exclusive); err != nil {
+			return oid.Nil, err
+		}
 	}
 	t.db.ckptGate.RLock()
 	defer t.db.ckptGate.RUnlock()
-	// The Create record can only be written once the address is known,
-	// so the store invokes the append while the target page is still
-	// pinned and write-locked: the (allocate, log, stamp) triple is
-	// atomic with respect to both checkpoints (the gate) and buffer-
-	// pool flushes (the pin). Logging after the allocation returned
-	// would open a window where an eviction flushes a page holding an
-	// object no log record describes — a crash there resurrects an
-	// orphan invisible to redo, undo, and the reference analyzer, and
-	// the orphan's stale references can dangle after a later
-	// reorganization.
-	o, err := t.db.store.AllocateLogged(part, img, dense, func(o oid.OID) (wal.LSN, error) {
-		rec := &wal.Record{Type: wal.RecCreate, Txn: wal.TxnID(t.id), Prev: t.lastLSN, OID: o, After: img}
-		lsn, aerr := t.db.log.Append(rec)
-		if aerr == nil {
-			t.lastLSN = lsn
-		}
-		return lsn, aerr
-	})
+	o, err := t.place(wal.RecCreate, part, img, dense, l)
 	if err != nil {
 		return oid.Nil, err
 	}
-	// The lock comes last because the OID is unknown before allocation;
-	// the resulting window — the object is fuzzily visible before its
-	// creator holds the lock — is tolerated by readers that follow the
-	// fuzzy-read discipline (a reorganizer re-validates adopted parents
-	// and skips ones that vanish, see reorg.moveObject).
+	if !l.IsNil() {
+		return l, nil
+	}
 	if err := t.db.locks.Lock(t.id, o, lock.Exclusive); err != nil {
 		return oid.Nil, err
 	}
 	return o, nil
 }
 
-// createLogical is create in logical-OID mode: mint the identity, lock
-// it, allocate the body, then publish the binding. Locking before the
-// allocation closes the fuzzy-visibility window physical mode tolerates
-// — the identity is unresolvable until the map entry lands, so no
-// reader can observe the object before its creator holds the lock.
-func (t *Txn) createLogical(part oid.PartitionID, img []byte, dense bool) (oid.OID, error) {
-	l := t.db.oidmap.NextID(part)
-	if err := t.db.locks.Lock(t.id, l, lock.Exclusive); err != nil {
-		return oid.Nil, err
-	}
-	t.db.ckptGate.RLock()
-	defer t.db.ckptGate.RUnlock()
-	phys, err := t.db.store.AllocateLogged(part, img, dense, func(o oid.OID) (wal.LSN, error) {
-		rec := &wal.Record{Type: wal.RecCreate, Txn: wal.TxnID(t.id), Prev: t.lastLSN, OID: o, Obj: l, After: img}
-		lsn, aerr := t.db.log.Append(rec)
-		if aerr == nil {
-			t.lastLSN = lsn
-		}
-		return lsn, aerr
-	})
-	if err != nil {
-		return oid.Nil, err
-	}
-	t.db.oidmap.Set(l, phys)
-	return l, nil
-}
-
-// UpdatePayload rewrites o's payload under an exclusive lock, preserving
-// its references.
-func (t *Txn) UpdatePayload(o oid.OID, payload []byte) error {
+// rewrite reads o under an exclusive lock, lets edit change the decoded
+// object, and logs and applies the re-encoded image as a record shaped
+// by rec (its type and children).
+func (t *Txn) rewrite(o oid.OID, rec wal.Record, edit func(obj object.Object) (object.Object, error)) error {
 	if t.ended {
 		return ErrTxnDone
 	}
@@ -254,77 +254,57 @@ func (t *Txn) UpdatePayload(o oid.OID, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	obj.Payload = payload
-	after := object.Encode(obj)
-	return t.logApply(t.ident(&wal.Record{Type: wal.RecUpdate, OID: phys, Before: before, After: after}, o),
-		o, func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(phys, after, logFn) })
+	if obj, err = edit(obj); err != nil {
+		return err
+	}
+	rec.OID, rec.Before, rec.After = phys, before, object.Encode(obj)
+	return t.logApply(t.ident(&rec, o), o)
+}
+
+// UpdatePayload rewrites o's payload under an exclusive lock, preserving
+// its references.
+func (t *Txn) UpdatePayload(o oid.OID, payload []byte) error {
+	return t.rewrite(o, wal.Record{Type: wal.RecUpdate}, func(obj object.Object) (object.Object, error) {
+		obj.Payload = payload
+		return obj, nil
+	})
 }
 
 // InsertRef stores a reference to child into o (the transaction must have
 // the reference "in local memory", i.e. obtained via a prior read or
 // create — the db layer cannot check that, matching the paper's model).
 func (t *Txn) InsertRef(o, child oid.OID) error {
-	if t.ended {
-		return ErrTxnDone
-	}
-	if child.IsNil() {
+	if !t.ended && child.IsNil() {
 		return fmt.Errorf("db: inserting nil reference into %s", o)
 	}
-	if err := t.ensure(o, lock.Exclusive); err != nil {
-		return err
-	}
-	obj, before, phys, err := t.readImage(o)
-	if err != nil {
-		return err
-	}
-	obj.Refs = append(obj.Refs, child)
-	after := object.Encode(obj)
-	return t.logApply(t.ident(&wal.Record{Type: wal.RecRefInsert, OID: phys, Child: child, Before: before, After: after}, o),
-		o, func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(phys, after, logFn) })
+	return t.rewrite(o, wal.Record{Type: wal.RecRefInsert, Child: child}, func(obj object.Object) (object.Object, error) {
+		obj.Refs = append(obj.Refs, child)
+		return obj, nil
+	})
 }
 
 // DeleteRef removes one occurrence of the reference to child from o. Note
 // the WAL ordering: the RefDelete record (and hence the TRT tuple) exists
 // before the reference disappears from the page.
 func (t *Txn) DeleteRef(o, child oid.OID) error {
-	if t.ended {
-		return ErrTxnDone
-	}
-	if err := t.ensure(o, lock.Exclusive); err != nil {
-		return err
-	}
-	obj, before, phys, err := t.readImage(o)
-	if err != nil {
-		return err
-	}
-	if !obj.RemoveOneRef(child) {
-		return fmt.Errorf("%w: %s -> %s", ErrNoRef, o, child)
-	}
-	after := object.Encode(obj)
-	return t.logApply(t.ident(&wal.Record{Type: wal.RecRefDelete, OID: phys, Child: child, Before: before, After: after}, o),
-		o, func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(phys, after, logFn) })
+	return t.rewrite(o, wal.Record{Type: wal.RecRefDelete, Child: child}, func(obj object.Object) (object.Object, error) {
+		if !obj.RemoveOneRef(child) {
+			return obj, fmt.Errorf("%w: %s -> %s", ErrNoRef, o, child)
+		}
+		return obj, nil
+	})
 }
 
 // RetargetRef replaces every occurrence of from with to in o's reference
 // list. This is the primitive the reorganizer uses to repoint a parent at
 // a migrated child's new address.
 func (t *Txn) RetargetRef(o, from, to oid.OID) error {
-	if t.ended {
-		return ErrTxnDone
-	}
-	if err := t.ensure(o, lock.Exclusive); err != nil {
-		return err
-	}
-	obj, before, phys, err := t.readImage(o)
-	if err != nil {
-		return err
-	}
-	if obj.ReplaceRefs(from, to) == 0 {
-		return fmt.Errorf("%w: %s -> %s", ErrNoRef, o, from)
-	}
-	after := object.Encode(obj)
-	return t.logApply(t.ident(&wal.Record{Type: wal.RecRefUpdate, OID: phys, Child: from, Child2: to, Before: before, After: after}, o),
-		o, func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(phys, after, logFn) })
+	return t.rewrite(o, wal.Record{Type: wal.RecRefUpdate, Child: from, Child2: to}, func(obj object.Object) (object.Object, error) {
+		if obj.ReplaceRefs(from, to) == 0 {
+			return obj, fmt.Errorf("%w: %s -> %s", ErrNoRef, o, from)
+		}
+		return obj, nil
+	})
 }
 
 // Delete removes the object at o under an exclusive lock.
@@ -339,16 +319,7 @@ func (t *Txn) Delete(o oid.OID) error {
 	if err != nil {
 		return err
 	}
-	return t.logApply(t.ident(&wal.Record{Type: wal.RecDelete, OID: phys, Before: before}, o),
-		o, func(logFn func() (wal.LSN, error)) error {
-			if err := t.db.store.FreeLogged(phys, logFn); err != nil {
-				return err
-			}
-			if t.db.oidmap != nil {
-				t.db.oidmap.Delete(o)
-			}
-			return nil
-		})
+	return t.logApply(t.ident(&wal.Record{Type: wal.RecDelete, OID: phys, Before: before}, o), o)
 }
 
 // Relocate moves o's body to a fresh slot in the target store partition
@@ -375,32 +346,16 @@ func (t *Txn) Relocate(o oid.OID, target oid.PartitionID, dense bool, transform 
 	if transform != nil {
 		obj.Payload = transform(obj.Payload)
 	}
-	img := object.Encode(obj)
 	// Step 1: copy the body. RecPhysAlloc is placement-only — the
 	// analyzer ignores it, because no identity or edge changes.
 	t.db.ckptGate.RLock()
-	newPhys, err := t.db.store.AllocateLogged(target, img, dense, func(n oid.OID) (wal.LSN, error) {
-		rec := &wal.Record{Type: wal.RecPhysAlloc, Txn: wal.TxnID(t.id), Prev: t.lastLSN, OID: n, Obj: o, After: img}
-		lsn, aerr := t.db.log.Append(rec)
-		if aerr == nil {
-			t.lastLSN = lsn
-		}
-		return lsn, aerr
-	})
+	newPhys, err := t.place(wal.RecPhysAlloc, target, object.Encode(obj), dense, o)
 	t.db.ckptGate.RUnlock()
 	if err != nil {
 		return err
 	}
 	// Step 2: swing the map entry — the migration's atomic instant.
-	err = t.logApply(&wal.Record{Type: wal.RecMapSet, Obj: o, Child: oldPhys, Child2: newPhys}, o,
-		func(logFn func() (wal.LSN, error)) error {
-			if _, lerr := logFn(); lerr != nil {
-				return lerr
-			}
-			t.db.oidmap.Set(o, newPhys)
-			return nil
-		})
-	if err != nil {
+	if err := t.logApply(&wal.Record{Type: wal.RecMapSet, Obj: o, Child: oldPhys, Child2: newPhys}, o); err != nil {
 		return err
 	}
 	if ferr := fpReorgMapSet.Maybe(); ferr != nil {
@@ -409,8 +364,7 @@ func (t *Txn) Relocate(o oid.OID, target oid.PartitionID, dense bool, transform 
 	// Step 3: free the old slot. The latch key is the identity, so a
 	// fuzzy reader that resolved o before the swing cannot be mid-View
 	// on the old slot while it is freed.
-	return t.logApply(&wal.Record{Type: wal.RecPhysFree, OID: oldPhys, Obj: o, Before: before}, o,
-		func(logFn func() (wal.LSN, error)) error { return t.db.store.FreeLogged(oldPhys, logFn) })
+	return t.logApply(&wal.Record{Type: wal.RecPhysFree, OID: oldPhys, Obj: o, Before: before}, o)
 }
 
 // Savepoint marks the transaction's current position in its undo chain.
@@ -509,106 +463,32 @@ func (t *Txn) rollbackTo(limit wal.LSN) error {
 			cur = rec.UndoNxt
 			continue
 		}
-		switch rec.Type {
-		case wal.RecBegin:
+		if rec.Type == wal.RecBegin {
 			return nil
-		case wal.RecUpdate, wal.RecCreate, wal.RecDelete, wal.RecRefInsert, wal.RecRefDelete, wal.RecRefUpdate,
-			wal.RecPhysAlloc, wal.RecPhysFree, wal.RecMapSet:
-			if err := t.compensate(rec); err != nil {
-				return err
-			}
+		}
+		if err := t.compensate(rec); err != nil {
+			return err
 		}
 		cur = rec.Prev
 	}
 	return nil
 }
 
-// compensate writes the typed CLR for rec and applies the undo. The CLR
-// inherits rec's identity (Obj), and undoing a create or delete in
-// logical-OID mode restores the indirection entry alongside the slot.
+// compensate logs and applies the CLR of rec, if it has one. The CLR
+// inherits rec's identity, so undoing a create or delete in logical-OID
+// mode restores the indirection entry alongside the slot.
 func (t *Txn) compensate(rec *wal.Record) error {
-	clr := &wal.Record{CLR: true, OID: rec.OID, Obj: rec.Obj, UndoNxt: rec.Prev, Before: nil}
-	var apply func(logFn func() (wal.LSN, error)) error
-	switch rec.Type {
-	case wal.RecUpdate:
-		clr.Type = wal.RecUpdate
-		clr.After = rec.Before
-		apply = func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(rec.OID, rec.Before, logFn) }
-	case wal.RecCreate:
-		clr.Type = wal.RecDelete
-		clr.Before = rec.After
-		apply = func(logFn func() (wal.LSN, error)) error {
-			if err := t.db.store.FreeLogged(rec.OID, logFn); err != nil {
-				return err
-			}
-			if t.db.oidmap != nil && !rec.Obj.IsNil() {
-				t.db.oidmap.Delete(rec.Obj)
-			}
-			return nil
-		}
-	case wal.RecDelete:
-		clr.Type = wal.RecCreate
-		clr.After = rec.Before
-		apply = func(logFn func() (wal.LSN, error)) error {
-			if err := t.db.store.AllocateAtLogged(rec.OID, rec.Before, logFn); err != nil {
-				return err
-			}
-			if t.db.oidmap != nil && !rec.Obj.IsNil() {
-				t.db.oidmap.Set(rec.Obj, rec.OID)
-			}
-			return nil
-		}
-	case wal.RecPhysAlloc:
-		clr.Type = wal.RecPhysFree
-		clr.Before = rec.After
-		apply = func(logFn func() (wal.LSN, error)) error { return t.db.store.FreeLogged(rec.OID, logFn) }
-	case wal.RecPhysFree:
-		clr.Type = wal.RecPhysAlloc
-		clr.After = rec.Before
-		apply = func(logFn func() (wal.LSN, error)) error {
-			return t.db.store.AllocateAtLogged(rec.OID, rec.Before, logFn)
-		}
-	case wal.RecMapSet:
-		clr.Type = wal.RecMapSet
-		clr.Child, clr.Child2 = rec.Child2, rec.Child
-		apply = func(logFn func() (wal.LSN, error)) error {
-			if _, lerr := logFn(); lerr != nil {
-				return lerr
-			}
-			t.db.oidmap.Set(rec.Obj, rec.Child)
-			return nil
-		}
-	case wal.RecRefInsert:
-		clr.Type = wal.RecRefDelete
-		clr.Child = rec.Child
-		clr.Before, clr.After = rec.After, rec.Before
-		apply = func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(rec.OID, rec.Before, logFn) }
-	case wal.RecRefDelete:
-		// Undoing a pointer delete reintroduces the reference; the CLR
-		// is a RefInsert, which the analyzer records in the TRT — the
-		// paper's rule that an abort-reinserted reference counts as an
-		// insertion (§4.5).
-		clr.Type = wal.RecRefInsert
-		clr.Child = rec.Child
-		clr.Before, clr.After = rec.After, rec.Before
-		apply = func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(rec.OID, rec.Before, logFn) }
-	case wal.RecRefUpdate:
-		clr.Type = wal.RecRefUpdate
-		clr.Child, clr.Child2 = rec.Child2, rec.Child
-		clr.Before, clr.After = rec.After, rec.Before
-		apply = func(logFn func() (wal.LSN, error)) error { return t.db.store.UpdateLogged(rec.OID, rec.Before, logFn) }
-	default:
-		return fmt.Errorf("db: cannot compensate %v record", rec.Type)
+	clr := rec.Compensation()
+	if clr == nil {
+		return nil
 	}
-	return t.logApply(clr, rec.Identity(), func(logFn func() (wal.LSN, error)) error {
-		err := apply(logFn)
-		// Undoing an update whose partition vanished (dropped) is the
-		// only legitimate failure; surface everything else. The store
-		// validates before appending, so a tolerated failure writes no
-		// CLR — recovery will re-undo the record, harmlessly.
-		if err != nil && errors.Is(err, storage.ErrNoPartition) {
-			return nil
-		}
-		return err
-	})
+	err := t.logApply(clr, rec.Identity())
+	// Undoing an update whose partition vanished (dropped) is the only
+	// legitimate failure; surface everything else. The store validates
+	// before appending, so a tolerated failure writes no CLR — recovery
+	// will re-undo the record, harmlessly.
+	if errors.Is(err, storage.ErrNoPartition) {
+		return nil
+	}
+	return err
 }

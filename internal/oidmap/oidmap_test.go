@@ -146,7 +146,7 @@ func TestApplyUndo(t *testing.T) {
 	if got, _ := m.Resolve(l); got != newP {
 		t.Fatalf("after mapset apply: %s", got)
 	}
-	Undo(m, mv)
+	Apply(m, mv.Compensation())
 	if got, _ := m.Resolve(l); got != oldP {
 		t.Fatalf("after mapset undo: %s", got)
 	}
@@ -155,7 +155,7 @@ func TestApplyUndo(t *testing.T) {
 	if _, ok := m.Resolve(l); ok {
 		t.Fatalf("after delete apply: still bound")
 	}
-	Undo(m, del)
+	Apply(m, del.Compensation())
 	if got, _ := m.Resolve(l); got != oldP {
 		t.Fatalf("after delete undo: %s", got)
 	}

@@ -264,6 +264,13 @@ func (p *Page) Delete(s uint16) error {
 	return nil
 }
 
+// Fits reports whether the live cell in slot s can be rewritten with n
+// bytes, i.e. whether Update would not return ErrPageFull.
+func (p *Page) Fits(s uint16, n int) bool {
+	_, length := p.slot(int(s))
+	return n <= int(length)+p.contiguousFree(false)+int(p.deadBytes())
+}
+
 // Update replaces the cell in slot s with data. If the new cell fits in
 // the old one it is updated in place; otherwise it is reallocated within
 // the page (compacting if necessary). Returns ErrPageFull if the page
@@ -287,7 +294,7 @@ func (p *Page) Update(s uint16, data []byte) error {
 		return nil
 	}
 	// Grow: free then reinsert, preserving the slot number.
-	if len(data) > p.contiguousFree(false)+int(p.deadBytes())+int(length) {
+	if !p.Fits(s, len(data)) {
 		return ErrPageFull
 	}
 	p.setSlot(int(s), 0, 0)

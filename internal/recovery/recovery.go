@@ -10,9 +10,11 @@
 //     activity but no commit or abort record;
 //   - redo: reinstall the after-image of every record past the checkpoint
 //     (full-image records make this trivially idempotent);
-//   - undo: roll back each loser by walking its Prev chain, honoring CLR
-//     UndoNxt pointers so updates already compensated (by a runtime abort
-//     that was interrupted mid-flight) are not undone twice.
+//   - undo: roll back each loser by walking its Prev chain and applying
+//     each record's compensation (wal.Record.Compensation, the CLR live
+//     rollback would log) unlogged, honoring CLR UndoNxt pointers so
+//     updates already compensated (by a runtime abort that was
+//     interrupted mid-flight) are not undone twice.
 //
 // Recovery itself does not append to the log: re-running it from the same
 // durable image is deterministic and idempotent, which is how a crash
@@ -275,33 +277,25 @@ func redo(st *storage.Store, m *oidmap.Map, r *wal.Record, pageLSNs map[pageKey]
 			return err
 		}
 		return nil
-	case wal.RecCreate, wal.RecDelete, wal.RecUpdate, wal.RecRefInsert, wal.RecRefDelete, wal.RecRefUpdate,
-		wal.RecPhysAlloc, wal.RecPhysFree:
-	default:
-		return nil // Begin/Commit/Abort/Checkpoint/MapSet need no page redo
 	}
+	// Page 0 is reserved, so a record addressing it (Begin, Commit,
+	// Abort, Checkpoint, MapSet) has no page effect to redo.
 	key := pageKey{r.OID.Partition(), int(r.OID.Page())}
-	if pageLSNs[key] >= r.LSN {
-		return nil // effect already durable in the overlaid page
+	if key.pn == 0 || pageLSNs[key] >= r.LSN {
+		return nil // no page effect, or effect already durable in the overlaid page
 	}
-	var err error
-	switch r.Type {
-	case wal.RecCreate, wal.RecPhysAlloc:
-		err = st.AllocateAt(r.OID, r.After)
-	case wal.RecDelete, wal.RecPhysFree:
-		err = st.Free(r.OID)
-	default:
-		err = st.Update(r.OID, r.After)
-	}
+	err := st.Apply(r, nil)
 	if err == nil {
 		pageLSNs[key] = r.LSN
 	}
 	return err
 }
 
-// undoTxn walks a loser's chain backwards from last, installing before-
-// images. CLRs are never undone; their UndoNxt pointer skips the portion
-// of the chain a prior (interrupted) rollback already compensated.
+// undoTxn walks a loser's chain backwards from last, applying each
+// record's compensation unlogged: the same image live rollback would log
+// as a CLR. CLRs are never undone; their UndoNxt pointer skips the
+// portion of the chain a prior (interrupted) rollback already
+// compensated.
 func undoTxn(st *storage.Store, m *oidmap.Map, byLSN map[wal.LSN]*wal.Record, last wal.LSN) error {
 	cur := last
 	for cur != 0 {
@@ -313,23 +307,15 @@ func undoTxn(st *storage.Store, m *oidmap.Map, byLSN map[wal.LSN]*wal.Record, la
 			cur = r.UndoNxt
 			continue
 		}
-		switch r.Type {
-		case wal.RecBegin:
+		if r.Type == wal.RecBegin {
 			return nil
-		case wal.RecCreate, wal.RecPhysAlloc:
-			if err := st.Free(r.OID); err != nil {
-				return err
-			}
-		case wal.RecDelete, wal.RecPhysFree:
-			if err := st.AllocateAt(r.OID, r.Before); err != nil {
-				return err
-			}
-		case wal.RecUpdate, wal.RecRefInsert, wal.RecRefDelete, wal.RecRefUpdate:
-			if err := st.Update(r.OID, r.Before); err != nil {
-				return err
-			}
 		}
-		oidmap.Undo(m, r)
+		if c := r.Compensation(); c != nil {
+			if err := st.Apply(c, nil); err != nil {
+				return err
+			}
+			oidmap.Apply(m, c)
+		}
 		cur = r.Prev
 	}
 	return nil

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/oid"
+	"repro/internal/storage"
 )
 
 func testConfig() db.Config {
@@ -174,6 +176,55 @@ func TestRecoverAfterRuntimeAbortIsNoop(t *testing.T) {
 		t.Fatalf("payload = %q", obj.Payload)
 	}
 	tx2.Commit()
+}
+
+// TestRecoverAfterUpdateWontFit commits a transaction one of whose
+// updates outgrew its page. The refused update must leave no record
+// behind, so restart redo does not fail on it.
+func TestRecoverAfterUpdateWontFit(t *testing.T) {
+	cfg := testConfig()
+	cfg.PageSize = 512
+	d := db.Open(cfg)
+	defer d.Close()
+	if err := d.CreatePartition(0); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := d.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs []oid.OID
+	for i := 0; i < 8; i++ {
+		o, err := tx.Create(0, make([]byte, 40), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	tail := d.Log().TailLSN()
+	if err := tx.UpdatePayload(objs[0], make([]byte, 400)); !errors.Is(err, storage.ErrWontFit) {
+		t.Fatalf("oversized update: %v, want ErrWontFit", err)
+	}
+	if got := d.Log().TailLSN(); got != tail {
+		t.Fatalf("refused update appended records %d..%d", tail+1, got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := Recover(CaptureImage(d, ckpt), cfg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer rd.Close()
+	for _, o := range objs {
+		if !rd.Exists(o) {
+			t.Fatalf("committed object %s lost", o)
+		}
+	}
 }
 
 func TestUnflushedTailLost(t *testing.T) {

@@ -43,7 +43,7 @@ func benchFill(b *testing.B, s *Store, part oid.PartitionID) []oid.OID {
 	var oids []oid.OID
 	data := make([]byte, 100)
 	for len(oids) == 0 || int(oids[len(oids)-1].Page()) < 64 {
-		o, err := s.Allocate(part, data)
+		o, err := s.Allocate(part, data, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func benchUpdate(b *testing.B, s *Store, oids []oid.OID) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data[0] = byte(i)
-		if err := s.Update(oids[order[i%len(order)]], data); err != nil {
+		if err := applyUpdate(s, oids[order[i%len(order)]], data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,11 +150,11 @@ func BenchmarkAllocateFreeMemory(b *testing.B) {
 	data := make([]byte, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o, err := s.Allocate(0, data)
+		o, err := s.Allocate(0, data, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Free(o); err != nil {
+		if err := applyFree(s, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,11 +170,11 @@ func BenchmarkAllocateFreeDisk(b *testing.B) {
 	data := make([]byte, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o, err := s.Allocate(0, data)
+		o, err := s.Allocate(0, data, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Free(o); err != nil {
+		if err := applyFree(s, o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,7 +43,7 @@ func fillPages(t *testing.T, s *Store, part oid.PartitionID, pages int) []oid.OI
 	var oids []oid.OID
 	data := make([]byte, s.PageSize()/4)
 	for {
-		o, err := s.Allocate(part, data)
+		o, err := s.Allocate(part, data, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestPoolPinLeak(t *testing.T) {
 	}
 	check("allocate")
 	for _, o := range oids[:4] {
-		if err := s.Update(o, []byte("shorter")); err != nil {
+		if err := applyUpdate(s, o, []byte("shorter")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,12 +85,12 @@ func TestPoolPinLeak(t *testing.T) {
 	}
 	check("view")
 	for _, o := range oids[:4] {
-		if err := s.Free(o); err != nil {
+		if err := applyFree(s, o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check("free")
-	if _, err := s.Free(oids[0]), s.Update(oids[1], make([]byte, 2000)); err == nil {
+	if _, err := applyFree(s, oids[0]), applyUpdate(s, oids[1], make([]byte, 2000)); err == nil {
 		t.Fatal("oversized update unexpectedly succeeded")
 	}
 	check("failed update")
@@ -242,7 +242,7 @@ func TestPoolStressRace(t *testing.T) {
 				}
 				switch rng.Intn(3) {
 				case 0:
-					o, aerr := s.Allocate(part, []byte(fmt.Sprintf("g%d-op%d", g, i)))
+					o, aerr := s.Allocate(part, []byte(fmt.Sprintf("g%d-op%d", g, i)), false, nil)
 					if aerr != nil {
 						t.Errorf("g%d allocate: %v", g, aerr)
 						return
@@ -250,7 +250,7 @@ func TestPoolStressRace(t *testing.T) {
 					mine = append(mine, o)
 				case 1:
 					o := mine[rng.Intn(len(mine))]
-					if uerr := s.Update(o, []byte{byte(i)}); uerr != nil && uerr != ErrNoObject && uerr != ErrWontFit {
+					if uerr := applyUpdate(s, o, []byte{byte(i)}); uerr != nil && uerr != ErrNoObject && uerr != ErrWontFit {
 						t.Errorf("g%d update: %v", g, uerr)
 						return
 					}
@@ -299,7 +299,7 @@ func TestMemPartitionInDiskStore(t *testing.T) {
 	data := make([]byte, 300)
 	var diskOIDs, memOIDs []oid.OID
 	for i := 0; i < 20; i++ {
-		o, err := s.Allocate(1, data)
+		o, err := s.Allocate(1, data, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestMemPartitionInDiskStore(t *testing.T) {
 	}
 	before := s.PoolStats()
 	for i := 0; i < 20; i++ {
-		o, err := s.Allocate(2, data)
+		o, err := s.Allocate(2, data, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestPoolInterleaveTrace(t *testing.T) {
 
 	s := newPoolStore(t, 2, WithPageSize(1024))
 	oids := fillPages(t, s, 1, 6) // 6 pages through a 2-frame pool: must evict
-	if err := s.Update(oids[0], []byte("dirty")); err != nil {
+	if err := applyUpdate(s, oids[0], []byte("dirty")); err != nil {
 		t.Fatal(err)
 	}
 	var kinds [4]int

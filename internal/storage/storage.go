@@ -16,11 +16,21 @@
 // on every flush (see pool.go). Both modes share one code path: every
 // method reaches page content through fetchPage/releasePage.
 //
+// Objects change through two mutators. Allocate places a new object
+// where the store chooses (the address is unknown until placement).
+// Apply performs a WAL record's page effect at the address the record
+// names: create, free or rewrite, the one definition of what each record
+// type does to a page. Both take an optional append callback, run inside
+// the partition critical section before the page changes, so a logged
+// mutation's append and apply are atomic with respect to other
+// mutations of the page and to buffer-pool flushes. Without the
+// callback they apply unlogged, which restart recovery uses.
+//
 // The store provides physical consistency only: each partition has a
 // read-write mutex serializing structural changes against reads (cell
 // moves during in-page compaction would otherwise tear concurrent
 // readers). Transactional consistency — locks, WAL — is layered on top by
-// internal/db and internal/txn.
+// internal/db.
 package storage
 
 import (
@@ -296,35 +306,6 @@ func (s *Store) maxCell() int {
 	return s.pageSize - 16 // header + one slot entry, conservatively
 }
 
-// Allocate stores data in partition part using first-fit over existing
-// pages (so freed holes are refilled, which is what fragments a partition
-// over time), opening a new page when nothing fits within the fill factor.
-func (s *Store) Allocate(part oid.PartitionID, data []byte) (oid.OID, error) {
-	return s.allocate(part, data, false, nil)
-}
-
-// AllocateDense stores data at the tail of the partition, packing cells
-// tightly without hole-filling. Relocation plans use it to lay objects
-// contiguously.
-func (s *Store) AllocateDense(part oid.PartitionID, data []byte) (oid.OID, error) {
-	return s.allocate(part, data, true, nil)
-}
-
-// AllocateLogged allocates like Allocate (or AllocateDense when dense is
-// set), invoking logFn with the chosen address while the target page is
-// still pinned and the partition write-locked, and stamping the page
-// with the LSN logFn returns before the pin drops. The transaction
-// layer's create path needs this: a create record can only be written
-// once the address is known, and logging after the allocation returned
-// would leave a window where a buffer-pool eviction flushes a page
-// holding an object no log record describes — a crash there resurrects
-// an orphan invisible to redo, undo, and the reference analyzer. If
-// logFn fails the insert is rolled back in place and its error
-// returned.
-func (s *Store) AllocateLogged(part oid.PartitionID, data []byte, dense bool, logFn func(o oid.OID) (wal.LSN, error)) (oid.OID, error) {
-	return s.allocate(part, data, dense, logFn)
-}
-
 // tryInsert attempts an insert into the (pinned) page pn, reporting the
 // footprint delta either way (a failed insert may still compact the
 // page) and marking the page dirty if its bytes may have changed.
@@ -348,7 +329,25 @@ func (s *Store) tryInsert(c *apstats.Collector, p *partition, pn int, pg *page.P
 	return 0, false
 }
 
-func (s *Store) allocate(part oid.PartitionID, data []byte, dense bool, logFn func(o oid.OID) (wal.LSN, error)) (oid.OID, error) {
+// Allocate stores data in partition part and returns its address. By
+// default it runs first-fit over existing pages (so freed holes are
+// refilled, which is what fragments a partition over time), opening a
+// new page when nothing fits within the fill factor. With dense set it
+// appends at the tail of the partition instead, packing cells tightly
+// without hole-filling; relocation plans use that to lay objects out
+// contiguously.
+//
+// logFn, if non-nil, is called with the chosen address while the target
+// page is still pinned and the partition write-locked, and the page is
+// stamped with the LSN it returns before the pin drops. The transaction
+// layer's create path needs this: a create record can only be written
+// once the address is known, and logging after the allocation returned
+// would leave a window where a buffer-pool eviction flushes a page
+// holding an object no log record describes — a crash there resurrects
+// an orphan invisible to redo, undo, and the reference analyzer. If
+// logFn fails the insert is rolled back in place and its error
+// returned. A nil logFn allocates unlogged.
+func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn func(o oid.OID) (wal.LSN, error)) (oid.OID, error) {
 	if len(data) > s.maxCell() {
 		return oid.Nil, fmt.Errorf("%w: %d bytes", ErrObjectTooLarge, len(data))
 	}
@@ -451,7 +450,7 @@ func (s *Store) allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 }
 
 // SealDense advances the partition's dense-allocation floor past every
-// existing page: subsequent AllocateDense calls place objects only on
+// existing page: subsequent dense Allocate calls place objects only on
 // fresh pages. Reorganization seals its target partitions so a migrated
 // object can never be assigned the address of a just-deleted one — an
 // address a not-yet-updated (or garbage) reference may still carry.
@@ -466,18 +465,104 @@ func (s *Store) SealDense(part oid.PartitionID) error {
 	return nil
 }
 
-// AllocateAt installs data at the exact address o, creating the partition
-// and any intermediate pages if they do not exist. If a live object is
-// already at o it is overwritten in place. Recovery redo uses this to
-// replay creations at their original physical addresses; ordinary callers
-// should use Allocate.
-func (s *Store) AllocateAt(o oid.OID, data []byte) error {
-	return s.AllocateAtLSN(o, data, 0)
+// Apply performs the page effect of log record r at its address r.OID,
+// calling logFn (which appends r and returns its LSN) inside the
+// partition critical section, after validation and immediately before
+// the page is changed, and stamping the page with that LSN. Per page,
+// records are thus applied in exactly the order their LSNs were
+// assigned. Appending first and applying later under separate locks
+// would let two transactions' applies to one page invert: a buffer-pool
+// flush in that window writes a page whose LSN stamp covers a record
+// whose effect is missing, and recovery's redo gate would then skip that
+// record forever. A validation failure returns before logFn runs, so a
+// rejected mutation writes no record.
+//
+// The effects, by record type:
+//   - Create and PhysAlloc place r.After exactly at r.OID, creating the
+//     partition and any intermediate pages if they do not exist and
+//     overwriting a live object already there;
+//   - Delete and PhysFree free the slot; its bytes become dead space
+//     that only reorganization (or a lucky same-page insert) reclaims;
+//   - Update, RefInsert, RefDelete and RefUpdate rewrite the object in
+//     place with r.After (ErrWontFit if it no longer fits its page, the
+//     object unchanged);
+//   - every other type touches no page and only calls logFn.
+//
+// A nil logFn applies unlogged with the page stamped 0: restart recovery
+// redoes and undoes records that way on its memory-resident image.
+func (s *Store) Apply(r *wal.Record, logFn func() (wal.LSN, error)) error {
+	switch r.Type {
+	case wal.RecCreate, wal.RecPhysAlloc:
+		return s.allocateAt(r.OID, r.After, logFn)
+	case wal.RecDelete, wal.RecPhysFree:
+		return s.rewriteSlot(r.OID, nil, true, logFn)
+	case wal.RecUpdate, wal.RecRefInsert, wal.RecRefDelete, wal.RecRefUpdate:
+		return s.rewriteSlot(r.OID, r.After, false, logFn)
+	}
+	_, err := logged(logFn)
+	return err
 }
 
-// AllocateAtLSN is AllocateAt stamping the page with the log record's
-// LSN (the transaction layer's delete-undo path supplies it).
-func (s *Store) AllocateAtLSN(o oid.OID, data []byte, lsn wal.LSN) error {
+// logged runs logFn, or reports LSN 0 for an unlogged apply.
+func logged(logFn func() (wal.LSN, error)) (wal.LSN, error) {
+	if logFn == nil {
+		return 0, nil
+	}
+	return logFn()
+}
+
+// rewriteSlot updates the live object at o to data in place, or frees
+// it when free is set (see Apply).
+func (s *Store) rewriteSlot(o oid.OID, data []byte, free bool, logFn func() (wal.LSN, error)) error {
+	p, err := s.part(o.Partition())
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pn := int(o.Page())
+	pg, err := s.fetchPage(p, pn)
+	if err != nil {
+		return err
+	}
+	if pg == nil {
+		return fmt.Errorf("%w: %s", ErrNoObject, o)
+	}
+	defer s.releasePage(p, pn)
+	slot := uint16(o.Slot())
+	if !pg.Has(slot) {
+		return fmt.Errorf("%w: %s", ErrNoObject, o)
+	}
+	// An update that cannot fit is refused before it is logged: a
+	// logged record without its effect would fail its own redo at
+	// restart, and the analyzer would already have counted its edges.
+	if !free && !pg.Fits(slot, len(data)) {
+		return ErrWontFit
+	}
+	lsn, err := logged(logFn)
+	if err != nil {
+		return err
+	}
+	c := s.stats.Load()
+	var db0, ds0 int
+	if c != nil {
+		db0, ds0 = pageFootprint(pg)
+	}
+	liveDelta := 0
+	if !free {
+		err = pg.Update(slot, data)
+	} else if err = pg.Delete(slot); err == nil {
+		liveDelta = -1
+	}
+	p.nLive += liveDelta
+	s.noteMutation(c, o.Partition(), pg, db0, ds0, liveDelta, 0)
+	s.notePageDirty(p, pn, lsn)
+	return err
+}
+
+// allocateAt installs data at the exact address o (see Apply), extending
+// the page table and reviving trimmed pages as needed.
+func (s *Store) allocateAt(o oid.OID, data []byte, logFn func() (wal.LSN, error)) error {
 	if len(data) > s.maxCell() {
 		return fmt.Errorf("%w: %d bytes", ErrObjectTooLarge, len(data))
 	}
@@ -493,12 +578,10 @@ func (s *Store) AllocateAtLSN(o oid.OID, data []byte, lsn wal.LSN) error {
 	s.mu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return s.placeAt(p, o, data, lsn)
-}
-
-// placeAt installs data at the exact address o, extending the page
-// table and reviving trimmed pages as needed. Caller holds p.mu (W).
-func (s *Store) placeAt(p *partition, o oid.OID, data []byte, lsn wal.LSN) error {
+	lsn, err := logged(logFn)
+	if err != nil {
+		return err
+	}
 	c := s.stats.Load()
 	pagesAdded := 0
 	for uint64(len(p.pages)) <= uint64(o.Page()) {
@@ -526,21 +609,16 @@ func (s *Store) placeAt(p *partition, o oid.OID, data []byte, lsn wal.LSN) error
 	if c != nil {
 		db0, ds0 = pageFootprint(pg)
 	}
-	if pg.Has(uint16(o.Slot())) {
-		uerr := pg.Update(uint16(o.Slot()), data)
-		s.noteMutation(c, o.Partition(), pg, db0, ds0, 0, pagesAdded)
-		s.notePageDirty(p, pn, lsn)
-		return uerr
+	liveDelta, slot := 0, uint16(o.Slot())
+	if pg.Has(slot) {
+		err = pg.Update(slot, data)
+	} else if err = pg.InsertAt(slot, data); err == nil {
+		liveDelta = 1
 	}
-	if err := pg.InsertAt(uint16(o.Slot()), data); err != nil {
-		s.noteMutation(c, o.Partition(), pg, db0, ds0, 0, pagesAdded)
-		s.notePageDirty(p, pn, lsn)
-		return err
-	}
-	p.nLive++
-	s.noteMutation(c, o.Partition(), pg, db0, ds0, 1, pagesAdded)
+	p.nLive += liveDelta
+	s.noteMutation(c, o.Partition(), pg, db0, ds0, liveDelta, pagesAdded)
 	s.notePageDirty(p, pn, lsn)
-	return nil
+	return err
 }
 
 // revivePageAt places a fresh page at an existing (but empty) table
@@ -678,208 +756,6 @@ func (s *Store) Exists(o oid.OID) bool {
 	}
 	defer s.releasePage(p, pn)
 	return pg.Has(uint16(o.Slot()))
-}
-
-// Update rewrites the object at o in place. If the new bytes no longer fit
-// in the object's page, ErrWontFit is returned and the object is
-// unchanged.
-func (s *Store) Update(o oid.OID, data []byte) error {
-	return s.UpdateLSN(o, data, 0)
-}
-
-// UpdateLSN is Update stamping the page with the log record's LSN, so a
-// disk-backed flush can enforce WAL-ahead and restart recovery can gate
-// redo per page. The transaction layer passes the record LSN; unlogged
-// callers use Update (LSN zero).
-func (s *Store) UpdateLSN(o oid.OID, data []byte, lsn wal.LSN) error {
-	p, err := s.part(o.Partition())
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pn := int(o.Page())
-	pg, err := s.fetchPage(p, pn)
-	if err != nil {
-		return err
-	}
-	if pg == nil {
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	defer s.releasePage(p, pn)
-	c := s.stats.Load()
-	var db0, ds0 int
-	if c != nil {
-		db0, ds0 = pageFootprint(pg)
-	}
-	uerr := pg.Update(uint16(o.Slot()), data)
-	s.noteMutation(c, o.Partition(), pg, db0, ds0, 0, 0)
-	s.notePageDirty(p, pn, lsn)
-	switch uerr {
-	case nil:
-		return nil
-	case page.ErrBadSlot:
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	case page.ErrPageFull:
-		return ErrWontFit
-	default:
-		return uerr
-	}
-}
-
-// UpdateLogged is Update appending the log record (via logFn) inside
-// the partition critical section, immediately before the apply. The
-// transaction layer routes every logged mutation through these
-// *Logged variants so that, per page, records are applied in exactly
-// the order their LSNs were assigned. Appending first and applying
-// later under separate locks would let two transactions' applies to
-// one page invert: a buffer-pool flush in that window writes a page
-// whose LSN stamp covers a record whose effect is missing, and
-// recovery's redo gate would then skip that record forever.
-func (s *Store) UpdateLogged(o oid.OID, data []byte, logFn func() (wal.LSN, error)) error {
-	p, err := s.part(o.Partition())
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pn := int(o.Page())
-	pg, err := s.fetchPage(p, pn)
-	if err != nil {
-		return err
-	}
-	if pg == nil {
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	defer s.releasePage(p, pn)
-	if !pg.Has(uint16(o.Slot())) {
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	lsn, err := logFn()
-	if err != nil {
-		return err
-	}
-	c := s.stats.Load()
-	var db0, ds0 int
-	if c != nil {
-		db0, ds0 = pageFootprint(pg)
-	}
-	uerr := pg.Update(uint16(o.Slot()), data)
-	s.noteMutation(c, o.Partition(), pg, db0, ds0, 0, 0)
-	// Stamped even if the in-place update failed: the record is in the
-	// log with no effect, and the stamp makes the redo gate skip it.
-	s.notePageDirty(p, pn, lsn)
-	switch uerr {
-	case nil:
-		return nil
-	case page.ErrPageFull:
-		return ErrWontFit
-	default:
-		return uerr
-	}
-}
-
-// FreeLogged is Free appending the log record inside the partition
-// critical section (see UpdateLogged).
-func (s *Store) FreeLogged(o oid.OID, logFn func() (wal.LSN, error)) error {
-	p, err := s.part(o.Partition())
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pn := int(o.Page())
-	pg, err := s.fetchPage(p, pn)
-	if err != nil {
-		return err
-	}
-	if pg == nil {
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	defer s.releasePage(p, pn)
-	if !pg.Has(uint16(o.Slot())) {
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	lsn, err := logFn()
-	if err != nil {
-		return err
-	}
-	c := s.stats.Load()
-	var db0, ds0 int
-	if c != nil {
-		db0, ds0 = pageFootprint(pg)
-	}
-	if derr := pg.Delete(uint16(o.Slot())); derr != nil {
-		s.notePageDirty(p, pn, lsn)
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	p.nLive--
-	s.noteMutation(c, o.Partition(), pg, db0, ds0, -1, 0)
-	s.notePageDirty(p, pn, lsn)
-	return nil
-}
-
-// AllocateAtLogged is AllocateAt appending the log record inside the
-// partition critical section (see UpdateLogged). The delete-undo CLR
-// path uses it to revive an object at its original address.
-func (s *Store) AllocateAtLogged(o oid.OID, data []byte, logFn func() (wal.LSN, error)) error {
-	if len(data) > s.maxCell() {
-		return fmt.Errorf("%w: %d bytes", ErrObjectTooLarge, len(data))
-	}
-	if o.Page() == 0 {
-		return fmt.Errorf("%w: %s (page 0 is reserved)", ErrNoObject, o)
-	}
-	s.mu.Lock()
-	p, ok := s.parts[o.Partition()]
-	if !ok {
-		p = s.newPartition(o.Partition())
-		s.parts[o.Partition()] = p
-	}
-	s.mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	lsn, err := logFn()
-	if err != nil {
-		return err
-	}
-	return s.placeAt(p, o, data, lsn)
-}
-
-// Free deletes the object at o. The slot's bytes become dead space that
-// only reorganization (or a lucky same-page insert) reclaims.
-func (s *Store) Free(o oid.OID) error {
-	return s.FreeLSN(o, 0)
-}
-
-// FreeLSN is Free stamping the page with the log record's LSN.
-func (s *Store) FreeLSN(o oid.OID, lsn wal.LSN) error {
-	p, err := s.part(o.Partition())
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pn := int(o.Page())
-	pg, err := s.fetchPage(p, pn)
-	if err != nil {
-		return err
-	}
-	if pg == nil {
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	defer s.releasePage(p, pn)
-	c := s.stats.Load()
-	var db0, ds0 int
-	if c != nil {
-		db0, ds0 = pageFootprint(pg)
-	}
-	if err := pg.Delete(uint16(o.Slot())); err != nil {
-		return fmt.Errorf("%w: %s", ErrNoObject, o)
-	}
-	p.nLive--
-	s.noteMutation(c, o.Partition(), pg, db0, ds0, -1, 0)
-	s.notePageDirty(p, pn, lsn)
-	return nil
 }
 
 // ForEach calls fn for every live object in partition part, in physical

@@ -8,7 +8,22 @@ import (
 	"testing"
 
 	"repro/internal/oid"
+	"repro/internal/wal"
 )
+
+// applyCreate, applyUpdate and applyFree are unlogged Apply calls of the
+// record type whose page effect the test exercises.
+func applyCreate(s *Store, o oid.OID, data []byte) error {
+	return s.Apply(&wal.Record{Type: wal.RecCreate, OID: o, After: data}, nil)
+}
+
+func applyUpdate(s *Store, o oid.OID, data []byte) error {
+	return s.Apply(&wal.Record{Type: wal.RecUpdate, OID: o, After: data}, nil)
+}
+
+func applyFree(s *Store, o oid.OID) error {
+	return s.Apply(&wal.Record{Type: wal.RecDelete, OID: o}, nil)
+}
 
 func mustSnapshot(t *testing.T, s *Store) *Snapshot {
 	t.Helper()
@@ -32,7 +47,7 @@ func newStore(t *testing.T, parts int, opts ...Option) *Store {
 
 func TestAllocateReadFree(t *testing.T) {
 	s := newStore(t, 1)
-	o, err := s.Allocate(0, []byte("payload"))
+	o, err := s.Allocate(0, []byte("payload"), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +64,7 @@ func TestAllocateReadFree(t *testing.T) {
 	if !s.Exists(o) {
 		t.Fatal("Exists = false for live object")
 	}
-	if err := s.Free(o); err != nil {
+	if err := applyFree(s, o); err != nil {
 		t.Fatal(err)
 	}
 	if s.Exists(o) {
@@ -63,7 +78,7 @@ func TestAllocateReadFree(t *testing.T) {
 func TestNilNeverAllocated(t *testing.T) {
 	s := newStore(t, 1)
 	for i := 0; i < 1000; i++ {
-		o, err := s.Allocate(0, []byte{byte(i)})
+		o, err := s.Allocate(0, []byte{byte(i)}, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,8 +93,8 @@ func TestNilNeverAllocated(t *testing.T) {
 
 func TestPartitionIsolation(t *testing.T) {
 	s := newStore(t, 2)
-	a, _ := s.Allocate(0, []byte("in-zero"))
-	b, _ := s.Allocate(1, []byte("in-one"))
+	a, _ := s.Allocate(0, []byte("in-zero"), false, nil)
+	b, _ := s.Allocate(1, []byte("in-one"), false, nil)
 	if a.Partition() != 0 || b.Partition() != 1 {
 		t.Fatalf("partitions: %v %v", a.Partition(), b.Partition())
 	}
@@ -91,7 +106,7 @@ func TestPartitionIsolation(t *testing.T) {
 
 func TestUnknownPartition(t *testing.T) {
 	s := newStore(t, 1)
-	if _, err := s.Allocate(9, []byte("x")); !errors.Is(err, ErrNoPartition) {
+	if _, err := s.Allocate(9, []byte("x"), false, nil); !errors.Is(err, ErrNoPartition) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := s.CreatePartition(0); !errors.Is(err, ErrPartitionExists) {
@@ -101,8 +116,8 @@ func TestUnknownPartition(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	s := newStore(t, 1)
-	o, _ := s.Allocate(0, []byte("small"))
-	if err := s.Update(o, []byte("bigger-than-before")); err != nil {
+	o, _ := s.Allocate(0, []byte("small"), false, nil)
+	if err := applyUpdate(s, o, []byte("bigger-than-before")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := s.Read(o, nil)
@@ -113,8 +128,8 @@ func TestUpdate(t *testing.T) {
 
 func TestUpdateWontFit(t *testing.T) {
 	s := newStore(t, 1, WithPageSize(128), WithFillFactor(1.0))
-	o, _ := s.Allocate(0, []byte("x"))
-	err := s.Update(o, make([]byte, 4096))
+	o, _ := s.Allocate(0, []byte("x"), false, nil)
+	err := applyUpdate(s, o, make([]byte, 4096))
 	if !errors.Is(err, ErrWontFit) && !errors.Is(err, ErrObjectTooLarge) {
 		if err == nil {
 			t.Fatal("oversized update succeeded")
@@ -128,7 +143,7 @@ func TestUpdateWontFit(t *testing.T) {
 
 func TestObjectTooLarge(t *testing.T) {
 	s := newStore(t, 1, WithPageSize(256))
-	if _, err := s.Allocate(0, make([]byte, 1024)); !errors.Is(err, ErrObjectTooLarge) {
+	if _, err := s.Allocate(0, make([]byte, 1024), false, nil); !errors.Is(err, ErrObjectTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -138,7 +153,7 @@ func TestFirstFitRefillsHoles(t *testing.T) {
 	data := make([]byte, 100)
 	var oids []oid.OID
 	for i := 0; i < 20; i++ {
-		o, err := s.Allocate(0, data)
+		o, err := s.Allocate(0, data, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +163,10 @@ func TestFirstFitRefillsHoles(t *testing.T) {
 	pagesBefore := st.Pages
 	// Free half, then reallocate: page count should not grow.
 	for i := 0; i < len(oids); i += 2 {
-		s.Free(oids[i])
+		applyFree(s, oids[i])
 	}
 	for i := 0; i < len(oids)/2; i++ {
-		if _, err := s.Allocate(0, data); err != nil {
+		if _, err := s.Allocate(0, data, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,18 +182,18 @@ func TestAllocateDensePacks(t *testing.T) {
 	// Create holes via regular alloc + free.
 	var oids []oid.OID
 	for i := 0; i < 8; i++ {
-		o, _ := s.Allocate(0, data)
+		o, _ := s.Allocate(0, data, false, nil)
 		oids = append(oids, o)
 	}
 	for _, o := range oids[:4] {
-		s.Free(o)
+		applyFree(s, o)
 	}
 	// Dense allocation ignores the holes and appends at the tail.
-	o1, err := s.AllocateDense(0, data)
+	o1, err := s.Allocate(0, data, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := s.AllocateDense(0, data)
+	o2, err := s.Allocate(0, data, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +217,7 @@ func TestForEach(t *testing.T) {
 	want := map[oid.OID]string{}
 	for i := 0; i < 50; i++ {
 		data := []byte{byte(i), byte(i >> 8)}
-		o, _ := s.Allocate(0, data)
+		o, _ := s.Allocate(0, data, false, nil)
 		want[o] = string(data)
 	}
 	got := map[oid.OID]string{}
@@ -226,7 +241,7 @@ func TestForEach(t *testing.T) {
 func TestForEachEarlyStop(t *testing.T) {
 	s := newStore(t, 1)
 	for i := 0; i < 10; i++ {
-		s.Allocate(0, []byte{1})
+		s.Allocate(0, []byte{1}, false, nil)
 	}
 	n := 0
 	s.ForEach(0, func(oid.OID, []byte) bool {
@@ -242,7 +257,7 @@ func TestStatsTrackFragmentation(t *testing.T) {
 	s := newStore(t, 1, WithPageSize(1024), WithFillFactor(1.0))
 	var oids []oid.OID
 	for i := 0; i < 16; i++ {
-		o, _ := s.Allocate(0, make([]byte, 50))
+		o, _ := s.Allocate(0, make([]byte, 50), false, nil)
 		oids = append(oids, o)
 	}
 	st, _ := s.PartitionStats(0)
@@ -253,7 +268,7 @@ func TestStatsTrackFragmentation(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	for _, o := range oids[:8] {
-		s.Free(o)
+		applyFree(s, o)
 	}
 	st, _ = s.PartitionStats(0)
 	if st.DeadBytes != 400 {
@@ -269,7 +284,7 @@ func TestStatsTrackFragmentation(t *testing.T) {
 
 func TestView(t *testing.T) {
 	s := newStore(t, 1)
-	o, _ := s.Allocate(0, []byte("viewed"))
+	o, _ := s.Allocate(0, []byte("viewed"), false, nil)
 	var got []byte
 	if err := s.View(o, func(data []byte) { got = append(got, data...) }); err != nil {
 		t.Fatal(err)
@@ -284,7 +299,7 @@ func TestView(t *testing.T) {
 
 func TestDropPartition(t *testing.T) {
 	s := newStore(t, 2)
-	o, _ := s.Allocate(1, []byte("doomed"))
+	o, _ := s.Allocate(1, []byte("doomed"), false, nil)
 	if err := s.DropPartition(1); err != nil {
 		t.Fatal(err)
 	}
@@ -307,18 +322,18 @@ func TestSnapshotRestore(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		data := make([]byte, 1+rng.Intn(64))
 		rng.Read(data)
-		o, err := s.Allocate(oid.PartitionID(i%2), data)
+		o, err := s.Allocate(oid.PartitionID(i%2), data, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		oids = append(oids, o)
 		datas = append(datas, data)
 	}
-	s.Free(oids[7])
+	applyFree(s, oids[7])
 	snap := mustSnapshot(t, s)
 	// Mutate the original after snapshotting; restore must see old state.
-	s.Update(oids[3], []byte("mutated"))
-	s.Free(oids[5])
+	applyUpdate(s, oids[3], []byte("mutated"))
+	applyFree(s, oids[5])
 
 	r := RestoreSnapshot(snap)
 	for i, o := range oids {
@@ -337,7 +352,7 @@ func TestSnapshotRestore(t *testing.T) {
 		}
 	}
 	// Restored store is independently usable.
-	if _, err := r.Allocate(0, []byte("new-after-restore")); err != nil {
+	if _, err := r.Allocate(0, []byte("new-after-restore"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -357,7 +372,7 @@ func TestConcurrentAllocateReadFree(t *testing.T) {
 				case len(mine) == 0 || rng.Intn(3) == 0:
 					data := make([]byte, 1+rng.Intn(80))
 					data[0] = byte(g)
-					o, err := s.Allocate(part, data)
+					o, err := s.Allocate(part, data, false, nil)
 					if err != nil {
 						t.Errorf("alloc: %v", err)
 						return
@@ -376,7 +391,7 @@ func TestConcurrentAllocateReadFree(t *testing.T) {
 					}
 				default:
 					i := rng.Intn(len(mine))
-					if err := s.Free(mine[i]); err != nil {
+					if err := applyFree(s, mine[i]); err != nil {
 						t.Errorf("free: %v", err)
 						return
 					}
@@ -391,7 +406,7 @@ func TestConcurrentAllocateReadFree(t *testing.T) {
 func TestAllocateAt(t *testing.T) {
 	s := newStore(t, 0)
 	o := oid.New(3, 7, 4)
-	if err := s.AllocateAt(o, []byte("exact")); err != nil {
+	if err := applyCreate(s, o, []byte("exact")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Read(o, nil)
@@ -399,7 +414,7 @@ func TestAllocateAt(t *testing.T) {
 		t.Fatalf("Read = %q, %v", got, err)
 	}
 	// Overwrite in place is allowed (idempotent redo).
-	if err := s.AllocateAt(o, []byte("redone")); err != nil {
+	if err := applyCreate(s, o, []byte("redone")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = s.Read(o, nil)
@@ -414,25 +429,25 @@ func TestAllocateAt(t *testing.T) {
 
 func TestAllocateAtPageZeroRejected(t *testing.T) {
 	s := newStore(t, 1)
-	if err := s.AllocateAt(oid.New(0, 0, 1), []byte("x")); err == nil {
-		t.Fatal("AllocateAt on page 0 succeeded")
+	if err := applyCreate(s, oid.New(0, 0, 1), []byte("x")); err == nil {
+		t.Fatal("a Create apply on page 0 succeeded")
 	}
 }
 
 func TestAllocateAtThenAllocateCoexist(t *testing.T) {
 	s := newStore(t, 1)
 	fixed := oid.New(0, 2, 9)
-	if err := s.AllocateAt(fixed, []byte("fixed")); err != nil {
+	if err := applyCreate(s, fixed, []byte("fixed")); err != nil {
 		t.Fatal(err)
 	}
 	// Ordinary allocations must not collide with the fixed object.
 	for i := 0; i < 200; i++ {
-		o, err := s.Allocate(0, []byte("dyn"))
+		o, err := s.Allocate(0, []byte("dyn"), false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o == fixed {
-			t.Fatal("Allocate returned an address occupied via AllocateAt")
+			t.Fatal("Allocate returned an address occupied via a Create apply")
 		}
 	}
 	got, _ := s.Read(fixed, nil)
@@ -446,7 +461,7 @@ func TestTrimPages(t *testing.T) {
 	data := make([]byte, 100)
 	var oids []oid.OID
 	for i := 0; i < 20; i++ {
-		o, _ := s.Allocate(0, data)
+		o, _ := s.Allocate(0, data, false, nil)
 		oids = append(oids, o)
 	}
 	st, _ := s.PartitionStats(0)
@@ -457,7 +472,7 @@ func TestTrimPages(t *testing.T) {
 	survivor := oids[len(oids)-1]
 	for _, o := range oids[:len(oids)-1] {
 		if o.Page() != survivor.Page() {
-			s.Free(o)
+			applyFree(s, o)
 		}
 	}
 	trimmed, err := s.TrimPages(0)
@@ -479,15 +494,15 @@ func TestTrimPages(t *testing.T) {
 		t.Fatal("freed+trimmed object still exists")
 	}
 	// Allocation works after trimming (new pages appended or holes reused).
-	if _, err := s.Allocate(0, data); err != nil {
+	if _, err := s.Allocate(0, data, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	// AllocateAt can resurrect a trimmed page slot.
-	if err := s.AllocateAt(oids[0], data); err != nil {
+	// A Create apply can resurrect a trimmed page slot.
+	if err := applyCreate(s, oids[0], data); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Exists(oids[0]) {
-		t.Fatal("AllocateAt into trimmed page failed silently")
+		t.Fatal("Create apply into trimmed page failed silently")
 	}
 }
 
@@ -496,11 +511,11 @@ func TestSnapshotRestoreWithTrimmedPages(t *testing.T) {
 	data := make([]byte, 100)
 	var oids []oid.OID
 	for i := 0; i < 12; i++ {
-		o, _ := s.Allocate(0, data)
+		o, _ := s.Allocate(0, data, false, nil)
 		oids = append(oids, o)
 	}
 	for _, o := range oids[:8] {
-		s.Free(o)
+		applyFree(s, o)
 	}
 	s.TrimPages(0)
 	snap := mustSnapshot(t, s)
@@ -521,10 +536,10 @@ func TestSnapshotSerializationRoundTrip(t *testing.T) {
 	s := newStore(t, 2, WithPageSize(512))
 	var oids []oid.OID
 	for i := 0; i < 60; i++ {
-		o, _ := s.Allocate(oid.PartitionID(i%2), []byte{byte(i), byte(i + 1)})
+		o, _ := s.Allocate(oid.PartitionID(i%2), []byte{byte(i), byte(i + 1)}, false, nil)
 		oids = append(oids, o)
 	}
-	s.Free(oids[5])
+	applyFree(s, oids[5])
 	s.TrimPages(0) // exercise nil-page serialization when a page empties
 	snap := mustSnapshot(t, s)
 
@@ -553,7 +568,7 @@ func TestSnapshotSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored store allocates consistently (cursor/denseFloor kept).
-	if _, err := r.Allocate(0, []byte("post")); err != nil {
+	if _, err := r.Allocate(0, []byte("post"), false, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -564,10 +579,61 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	}
 	// Truncated stream.
 	s := newStore(t, 1)
-	s.Allocate(0, []byte("x"))
+	s.Allocate(0, []byte("x"), false, nil)
 	var buf bytes.Buffer
 	mustSnapshot(t, s).WriteTo(&buf)
 	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("truncated: %v", err)
+	}
+}
+
+// TestApplyLogsOnlyAfterValidation checks Apply's append discipline: a
+// mutation the store refuses calls no append callback, an append failure
+// leaves the page unchanged, and a record type without a page effect
+// only appends.
+func TestApplyLogsOnlyAfterValidation(t *testing.T) {
+	s := newStore(t, 1, WithPageSize(256))
+	o, err := s.Allocate(0, []byte("small"), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := 0
+	logFn := func() (wal.LSN, error) { appends++; return wal.LSN(appends), nil }
+	refused := []struct {
+		r    *wal.Record
+		want error
+	}{
+		{&wal.Record{Type: wal.RecUpdate, OID: oid.New(0, 1, 9), After: []byte("x")}, ErrNoObject},
+		{&wal.Record{Type: wal.RecDelete, OID: oid.New(0, 1, 9)}, ErrNoObject},
+		{&wal.Record{Type: wal.RecRefInsert, OID: o, After: make([]byte, 300)}, ErrWontFit},
+		{&wal.Record{Type: wal.RecCreate, OID: oid.New(0, 0, 1), After: []byte("x")}, ErrNoObject},
+		{&wal.Record{Type: wal.RecUpdate, OID: oid.New(5, 1, 0), After: []byte("x")}, ErrNoPartition},
+	}
+	for _, tc := range refused {
+		if err := s.Apply(tc.r, logFn); !errors.Is(err, tc.want) {
+			t.Fatalf("Apply(%v at %s) = %v, want %v", tc.r.Type, tc.r.OID, err, tc.want)
+		}
+	}
+	if appends != 0 {
+		t.Fatalf("refused mutations appended %d records", appends)
+	}
+	failing := func() (wal.LSN, error) { return 0, errors.New("log full") }
+	if err := s.Apply(&wal.Record{Type: wal.RecUpdate, OID: o, After: []byte("other")}, failing); err == nil {
+		t.Fatal("append failure not returned")
+	}
+	if got, _ := s.Read(o, nil); string(got) != "small" {
+		t.Fatalf("object after failed append = %q", got)
+	}
+	if err := s.Apply(&wal.Record{Type: wal.RecMapSet, Child: o, Child2: o}, logFn); err != nil || appends != 1 {
+		t.Fatalf("MapSet apply: %v, %d appends", err, appends)
+	}
+	if got, _ := s.Read(o, nil); string(got) != "small" {
+		t.Fatalf("MapSet changed the page: %q", got)
+	}
+	if err := s.Apply(&wal.Record{Type: wal.RecUpdate, OID: o, After: []byte("bigger")}, logFn); err != nil || appends != 2 {
+		t.Fatalf("update apply: %v, %d appends", err, appends)
+	}
+	if got, _ := s.Read(o, nil); string(got) != "bigger" {
+		t.Fatalf("object after update = %q", got)
 	}
 }

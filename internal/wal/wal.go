@@ -146,6 +146,49 @@ func (r *Record) Identity() oid.OID {
 	return r.OID
 }
 
+// Compensation returns the CLR that undoes r, or nil if r cannot be
+// compensated: a CLR (redo-only), or a type with no undo (Begin, Commit,
+// Abort, Checkpoint and the redo-only partition records). The CLR
+// carries r's OID and Obj and UndoNxt = r.Prev; its own redo is the
+// undo. Live rollback logs and applies it; restart undo applies the same
+// image unlogged, so both directions share one definition.
+//
+// Each type maps to its inverse: a create's CLR is a delete, a delete's
+// a create, a placement's a release and back; updates swap the images,
+// reference changes invert (undoing a reference delete reintroduces the
+// reference as a RefInsert, which the analyzer records in the TRT — the
+// paper's rule that an abort-reinserted reference counts as an
+// insertion, §4.5), and a retarget or map swing swaps Child and Child2.
+func (r *Record) Compensation() *Record {
+	if r.CLR {
+		return nil
+	}
+	c := &Record{CLR: true, OID: r.OID, Obj: r.Obj, UndoNxt: r.Prev}
+	switch r.Type {
+	case RecUpdate:
+		c.Type, c.After = RecUpdate, r.Before
+	case RecCreate:
+		c.Type, c.Before = RecDelete, r.After
+	case RecDelete:
+		c.Type, c.After = RecCreate, r.Before
+	case RecPhysAlloc:
+		c.Type, c.Before = RecPhysFree, r.After
+	case RecPhysFree:
+		c.Type, c.After = RecPhysAlloc, r.Before
+	case RecMapSet:
+		c.Type, c.Child, c.Child2 = RecMapSet, r.Child2, r.Child
+	case RecRefInsert:
+		c.Type, c.Child, c.Before, c.After = RecRefDelete, r.Child, r.After, r.Before
+	case RecRefDelete:
+		c.Type, c.Child, c.Before, c.After = RecRefInsert, r.Child, r.After, r.Before
+	case RecRefUpdate:
+		c.Type, c.Child, c.Child2, c.Before, c.After = RecRefUpdate, r.Child2, r.Child, r.After, r.Before
+	default:
+		return nil
+	}
+	return c
+}
+
 // IsRefChange reports whether the record inserts or deletes an object
 // reference — the records the log analyzer cares about.
 func (r *Record) IsRefChange() bool {
@@ -696,6 +739,9 @@ func decodeBody(buf []byte) (*Record, error) {
 	}
 	if !need(2) {
 		return nil, ErrCorrupt
+	}
+	if buf[pos+1]&^1 != 0 {
+		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrCorrupt, buf[pos+1])
 	}
 	r := &Record{Type: RecType(buf[pos]), CLR: buf[pos+1]&1 != 0}
 	pos += 2

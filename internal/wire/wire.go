@@ -429,6 +429,34 @@ func DecodeWelcome(b []byte) (Welcome, error) {
 
 // --- Request / Response ---
 
+// requestFixed and responseFixed are the encoded sizes of a Request and
+// a Response whose variable-length fields and Sub are all empty.
+const (
+	requestFixed  = 8 + 1 + 4 + 3*8 + 4 + 1 + 4 + 4 + 4 + 4 // ID Op Deadline OIDs Part Mode, 4 lengths
+	responseFixed = 8 + 1 + 4 + 8 + 4 + 4 + 4 + 4           // ID Status RetryAfter OID, 4 lengths
+)
+
+// RequestSize is len(EncodeRequest(r)) for a request the encoder
+// accepts: the fixed layout, the variable-length fields, and every
+// sub-request.
+func RequestSize(r Request) int {
+	n := requestFixed + len(r.Payload) + 8*len(r.Refs) + len(r.Name)
+	for _, sub := range r.Sub {
+		n += RequestSize(sub)
+	}
+	return n
+}
+
+// responseSize is len(EncodeResponse(r)) for a response the encoder
+// accepts.
+func responseSize(r Response) int {
+	n := responseFixed + len(r.Payload) + 8*len(r.Refs) + len(r.Msg)
+	for _, sub := range r.Sub {
+		n += responseSize(sub)
+	}
+	return n
+}
+
 func appendRequest(b []byte, r Request, depth int) ([]byte, error) {
 	if r.Op >= opMax {
 		return nil, fmt.Errorf("%w: op %d", ErrMalformed, r.Op)
@@ -457,9 +485,10 @@ func appendRequest(b []byte, r Request, depth int) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeRequest serializes a Request payload. Batches may not nest.
+// EncodeRequest serializes a Request payload into one exactly-sized
+// allocation. Batches may not nest.
 func EncodeRequest(r Request) ([]byte, error) {
-	return appendRequest(make([]byte, 0, 64+len(r.Payload)+8*len(r.Refs)), r, 0)
+	return appendRequest(make([]byte, 0, RequestSize(r)), r, 0)
 }
 
 func decodeRequest(d *dec, depth int) Request {
@@ -483,8 +512,9 @@ func decodeRequest(d *dec, depth int) Request {
 		return r
 	}
 	n := int(d.u32())
-	// A sub-request is at least 51 bytes; bound n by the remaining frame.
-	if d.err != nil || n < 0 || n > (len(d.b)-d.off)/51+1 {
+	// A sub-request is at least requestFixed bytes; bound n by the
+	// remaining frame.
+	if d.err != nil || n < 0 || n > (len(d.b)-d.off)/requestFixed+1 {
 		if n != 0 {
 			d.fail()
 		}
@@ -531,9 +561,10 @@ func appendResponse(b []byte, r Response, depth int) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeResponse serializes a Response payload.
+// EncodeResponse serializes a Response payload into one exactly-sized
+// allocation.
 func EncodeResponse(r Response) ([]byte, error) {
-	return appendResponse(make([]byte, 0, 48+len(r.Payload)+8*len(r.Refs)), r, 0)
+	return appendResponse(make([]byte, 0, responseSize(r)), r, 0)
 }
 
 func decodeResponse(d *dec, depth int) Response {
@@ -547,8 +578,8 @@ func decodeResponse(d *dec, depth int) Response {
 		Msg:          d.str(),
 	}
 	n := int(d.u32())
-	// A sub-response is at least 37 bytes.
-	if d.err != nil || n < 0 || n > (len(d.b)-d.off)/37+1 {
+	// A sub-response is at least responseFixed bytes.
+	if d.err != nil || n < 0 || n > (len(d.b)-d.off)/responseFixed+1 {
 		if n != 0 {
 			d.fail()
 		}
