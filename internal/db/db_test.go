@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/lock"
+	"repro/internal/object"
 	"repro/internal/oid"
 	"repro/internal/storage"
 	"repro/internal/trt"
@@ -592,5 +593,45 @@ func TestLogTruncation(t *testing.T) {
 	}
 	if d.Log().Get(ckpt2.LSN) == nil {
 		t.Fatal("checkpoint record itself truncated")
+	}
+}
+
+// TestReadDecodesInPlace: Read decodes the object straight from its slot,
+// so once the lock is held it allocates exactly what object.Decode does
+// (the reference list and the payload copy) and nothing for a private
+// copy of the image.
+func TestReadDecodesInPlace(t *testing.T) {
+	d := openTestDB(t, 1)
+	tx := mustBegin(t, d)
+	child, err := tx.Create(0, []byte("child"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := tx.Create(0, []byte("payload"), []oid.OID{child, child})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx = mustBegin(t, d)
+	defer tx.Abort()
+	want, err := tx.Read(o) // takes the shared lock
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := object.Encode(want)
+	read := testing.AllocsPerRun(100, func() {
+		if _, err := tx.Read(o); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := testing.AllocsPerRun(100, func() {
+		if _, err := object.Decode(image); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if read != decode {
+		t.Fatalf("Read allocates %v times, object.Decode %v; want equal", read, decode)
 	}
 }

@@ -120,8 +120,19 @@ func (t *Txn) Read(o oid.OID) (object.Object, error) {
 	if err := t.ensure(o, lock.Shared); err != nil {
 		return object.Object{}, err
 	}
-	obj, _, _, err := t.readImage(o)
-	return obj, err
+	phys, err := t.db.resolve(o)
+	if err != nil {
+		return object.Object{}, err
+	}
+	// Decode straight from the slot: Decode copies what it keeps, so the
+	// image needs no copy of its own (readImage keeps one as a
+	// before-image for the mutators).
+	var obj object.Object
+	var derr error
+	if err := t.db.store.View(phys, func(data []byte) { obj, derr = object.Decode(data) }); err != nil {
+		return object.Object{}, err
+	}
+	return obj, derr
 }
 
 // ReadRefs returns o's outgoing references under a shared lock.

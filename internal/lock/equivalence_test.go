@@ -45,9 +45,9 @@ type lockManager interface {
 	EverLockedBy(o oid.OID, exclude TxnID) []TxnID
 	ActiveTxns() []TxnID
 	Stats() Stats
-	// forEachLockState visits every live lock head under its owning
-	// mutex.
-	forEachLockState(fn func(o oid.OID, ls *lockState))
+	// forEachHead visits every live lock head and its holders under the
+	// head's owning mutex.
+	forEachHead(fn func(o oid.OID, holders map[TxnID]Mode))
 }
 
 var (
@@ -64,13 +64,17 @@ func newOracle(opts ...Option) *reference {
 	return newReference(cfg)
 }
 
-// forEachLockState visits every lock head under its bucket mutex.
-func (m *Manager) forEachLockState(fn func(o oid.OID, ls *lockState)) {
+// forEachHead visits every lock head under its bucket mutex.
+func (m *Manager) forEachHead(fn func(o oid.OID, holders map[TxnID]Mode)) {
 	for i := range m.buckets {
 		b := &m.buckets[i]
 		b.mu.Lock()
 		for o, ls := range b.locks {
-			fn(o, ls)
+			holders := make(map[TxnID]Mode, len(ls.holders))
+			for _, h := range ls.holders {
+				holders[h.txn] = h.mode
+			}
+			fn(o, holders)
 		}
 		b.mu.Unlock()
 	}
@@ -137,27 +141,58 @@ type eqOp struct {
 	mode Mode
 }
 
-// eqScript is a random schedule; it implements quick.Generator.
+// eqScript is a schedule over objs; its random form implements
+// quick.Generator.
 type eqScript struct {
-	ops []eqOp
+	objs []oid.OID
+	ops  []eqOp
 }
 
 func (eqScript) Generate(r *rand.Rand, size int) reflect.Value {
-	n := 4 + r.Intn(10)
-	s := eqScript{ops: make([]eqOp, n)}
-	for i := range s.ops {
-		mode := Shared
-		if r.Intn(2) == 0 {
-			mode = Exclusive
-		}
-		s.ops[i] = eqOp{
+	return reflect.ValueOf(eqRandomScript(r, eqObjIDs[:], nil))
+}
+
+// eqRandomScript appends 4–13 random ops over objs to prefix.
+func eqRandomScript(r *rand.Rand, objs []oid.OID, prefix []eqOp) eqScript {
+	s := eqScript{objs: objs, ops: prefix}
+	for n := 4 + r.Intn(10); n > 0; n-- {
+		s.ops = append(s.ops, eqOp{
 			kind: eqOpKind(r.Intn(int(eqOpKinds))),
 			txn:  eqTxnIDs[r.Intn(eqTxns)],
-			obj:  eqObjIDs[r.Intn(eqObjs)],
-			mode: mode,
-		}
+			obj:  objs[r.Intn(len(objs))],
+			mode: eqRandomMode(r),
+		})
 	}
-	return reflect.ValueOf(s)
+	return s
+}
+
+func eqRandomMode(r *rand.Rand) Mode {
+	if r.Intn(2) == 0 {
+		return Exclusive
+	}
+	return Shared
+}
+
+// eqSpillObjs are more objects than a transaction records inline, so a
+// transaction that locks them all takes the spill path.
+var eqSpillObjs = func() []oid.OID {
+	objs := make([]oid.OID, txnInlineLocks+4)
+	for i := range objs {
+		objs[i] = oid.New(1, 2, oid.SlotNum(i))
+	}
+	return objs
+}()
+
+// eqSpillScript is a random schedule whose first transaction locks every
+// object of eqSpillObjs before the random ops start.
+type eqSpillScript struct{ eqScript }
+
+func (eqSpillScript) Generate(r *rand.Rand, size int) reflect.Value {
+	prefix := []eqOp{{kind: opBegin, txn: eqTxnIDs[0]}}
+	for _, o := range eqSpillObjs {
+		prefix = append(prefix, eqOp{kind: opLockSync, txn: eqTxnIDs[0], obj: o, mode: eqRandomMode(r)})
+	}
+	return reflect.ValueOf(eqSpillScript{eqRandomScript(r, eqSpillObjs, prefix)})
 }
 
 // errClass folds an error into a comparable label.
@@ -196,13 +231,13 @@ func eqRun(t *testing.T, m lockManager, script eqScript) []string {
 	digest := func() string {
 		var sb strings.Builder
 		for _, tx := range eqTxnIDs {
-			for _, o := range eqObjIDs {
+			for _, o := range script.objs {
 				if mode, ok := m.Holds(tx, o); ok {
 					fmt.Fprintf(&sb, " %d:%s=%s", tx, o, mode)
 				}
 			}
 		}
-		for _, o := range eqObjIDs {
+		for _, o := range script.objs {
 			ever := m.EverLockedBy(o, 0)
 			sort.Slice(ever, func(i, j int) bool { return ever[i] < ever[j] })
 			if len(ever) > 0 {
@@ -360,10 +395,59 @@ func eqRun(t *testing.T, m lockManager, script eqScript) []string {
 	return log
 }
 
+// eqMatch runs script on a fresh striped manager and a fresh oracle built
+// with opts and reports whether they produced identical transcripts
+// (grants, queues, timeouts, lock tables, history sets) and identical
+// cumulative Stats, and both ended empty.
+func eqMatch(t *testing.T, script eqScript, opts ...Option) bool {
+	ref := newOracle(opts...)
+	str := NewManager(opts...)
+
+	type res struct {
+		log   []string
+		stats Stats
+	}
+	run := func(m lockManager, out chan<- res) {
+		log := eqRun(t, m, script)
+		out <- res{log: log, stats: m.Stats()}
+	}
+	refCh := make(chan res, 1)
+	strCh := make(chan res, 1)
+	go run(ref, refCh)
+	go run(str, strCh)
+	r, s := <-refCh, <-strCh
+
+	if !reflect.DeepEqual(r.log, s.log) {
+		t.Logf("reference transcript:\n  %s", strings.Join(r.log, "\n  "))
+		t.Logf("striped transcript:\n  %s", strings.Join(s.log, "\n  "))
+		return false
+	}
+	if r.stats != s.stats {
+		t.Logf("stats diverged: reference=%+v striped=%+v", r.stats, s.stats)
+		return false
+	}
+	heads := 0
+	str.forEachHead(func(oid.OID, map[TxnID]Mode) { heads++ })
+	ref.forEachHead(func(oid.OID, map[TxnID]Mode) { heads++ })
+	if heads != 0 || len(str.ActiveTxns()) != 0 || len(ref.ActiveTxns()) != 0 {
+		t.Logf("state leaked: %d heads, striped txns %v, reference txns %v",
+			heads, str.ActiveTxns(), ref.ActiveTxns())
+		return false
+	}
+	return true
+}
+
+// eqQuickCount is how many random schedules each property draws.
+func eqQuickCount() int {
+	if testing.Short() {
+		return 8
+	}
+	return 30
+}
+
 // TestStripedMatchesReference is the testing/quick property: on every
 // random schedule, the striped manager and the reference manager produce
-// identical transcripts (grants, queues, timeouts, lock tables, history
-// sets) and identical cumulative Stats.
+// identical transcripts and identical cumulative Stats.
 func TestStripedMatchesReference(t *testing.T) {
 	if bucketIndex(eqObjIDs[0]) != bucketIndex(eqObjIDs[1]) ||
 		bucketIndex(eqObjIDs[0]) == bucketIndex(eqObjIDs[2]) ||
@@ -372,53 +456,85 @@ func TestStripedMatchesReference(t *testing.T) {
 		t.Fatalf("schedule keys do not share buckets as intended: objs %v, txns %v", eqObjIDs, eqTxnIDs)
 	}
 	prop := func(script eqScript) bool {
-		ref := newOracle(WithTimeout(eqSyncTO), WithHistory(true))
-		str := NewManager(WithTimeout(eqSyncTO), WithHistory(true))
-
-		type res struct {
-			log   []string
-			stats Stats
-		}
-		run := func(m lockManager, out chan<- res) {
-			log := eqRun(t, m, script)
-			out <- res{log: log, stats: m.Stats()}
-		}
-		refCh := make(chan res, 1)
-		strCh := make(chan res, 1)
-		go run(ref, refCh)
-		go run(str, strCh)
-		r, s := <-refCh, <-strCh
-
-		if !reflect.DeepEqual(r.log, s.log) {
-			t.Logf("reference transcript:\n  %s", strings.Join(r.log, "\n  "))
-			t.Logf("striped transcript:\n  %s", strings.Join(s.log, "\n  "))
-			return false
-		}
-		if r.stats != s.stats {
-			t.Logf("stats diverged: reference=%+v striped=%+v", r.stats, s.stats)
-			return false
-		}
-		// Both managers must end empty.
-		heads := 0
-		str.forEachLockState(func(oid.OID, *lockState) { heads++ })
-		ref.forEachLockState(func(oid.OID, *lockState) { heads++ })
-		if heads != 0 || len(str.ActiveTxns()) != 0 || len(ref.ActiveTxns()) != 0 {
-			t.Logf("state leaked: %d heads, striped txns %v, reference txns %v",
-				heads, str.ActiveTxns(), ref.ActiveTxns())
-			return false
-		}
-		return true
-	}
-	count := 30
-	if testing.Short() {
-		count = 8
+		return eqMatch(t, script, WithTimeout(eqSyncTO), WithHistory(true))
 	}
 	cfg := &quick.Config{
-		MaxCount: count,
+		MaxCount: eqQuickCount(),
 		Rand:     rand.New(rand.NewSource(20260806)),
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStripedMatchesReferenceSpill is the same property on schedules in
+// which one transaction first locks more objects than it records inline,
+// so its lock set spills to a map and the random ops then unlock, wait
+// on and finish a spilled set.
+func TestStripedMatchesReferenceSpill(t *testing.T) {
+	for _, history := range []bool{false, true} {
+		t.Run(fmt.Sprintf("history=%v", history), func(t *testing.T) {
+			prop := func(script eqSpillScript) bool {
+				return eqMatch(t, script.eqScript, WithTimeout(eqSyncTO), WithHistory(history))
+			}
+			cfg := &quick.Config{
+				MaxCount: eqQuickCount(),
+				Rand:     rand.New(rand.NewSource(20261019)),
+			}
+			if err := quick.Check(prop, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStripedMatchesReferenceHeadReuse replays fixed schedules in which a
+// lock head is reaped and the next head created in the same bucket is
+// built from it, with waiters queued on the reused head and the objects
+// locked again afterwards. eqObjIDs[0] and [1] share a bucket.
+func TestStripedMatchesReferenceHeadReuse(t *testing.T) {
+	t0, t1, t2 := eqTxnIDs[0], eqTxnIDs[1], eqTxnIDs[2]
+	o0, o1 := eqObjIDs[0], eqObjIDs[1]
+	op := func(kind eqOpKind, txn TxnID, o oid.OID, mode Mode) eqOp {
+		return eqOp{kind: kind, txn: txn, obj: o, mode: mode}
+	}
+	begin := func(txn TxnID) eqOp { return eqOp{kind: opBegin, txn: txn} }
+	finish := func(txn TxnID) eqOp { return eqOp{kind: opFinish, txn: txn} }
+	schedules := map[string][]eqOp{
+		"finish-then-reuse": {
+			begin(t0), op(opLockSync, t0, o0, Exclusive), finish(t0),
+			begin(t1), op(opLockSync, t1, o1, Shared),
+			begin(t2), op(opLockAsync, t2, o1, Exclusive),
+			op(opLockSync, t1, o0, Exclusive),
+			finish(t1),
+			begin(t0), op(opLockSync, t0, o0, Shared), op(opLockSync, t0, o1, Shared),
+			finish(t2), op(opLockSync, t0, o1, Exclusive), finish(t0),
+		},
+		"unlock-then-reuse": {
+			begin(t0), begin(t1),
+			op(opLockSync, t0, o0, Shared), op(opLockSync, t1, o0, Shared),
+			op(opUnlock, t0, o0, 0), op(opUnlock, t1, o0, 0),
+			op(opLockSync, t1, o1, Shared), op(opLockSync, t0, o1, Shared),
+			op(opLockAsync, t1, o1, Exclusive), op(opUnlock, t0, o1, 0),
+			op(opLockSync, t0, o0, Exclusive), finish(t1), finish(t0),
+		},
+		"upgrade-on-reused": {
+			begin(t0), op(opLockSync, t0, o1, Exclusive), finish(t0),
+			begin(t1), begin(t2),
+			op(opLockSync, t1, o0, Shared), op(opLockSync, t2, o0, Shared),
+			op(opLockAsync, t1, o0, Exclusive), op(opLockSync, t2, o0, Exclusive),
+			finish(t2), op(opLockSync, t1, o1, Shared), finish(t1),
+		},
+	}
+	for name, ops := range schedules {
+		for _, history := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/history=%v", name, history), func(t *testing.T) {
+				script := eqScript{objs: eqObjIDs[:], ops: ops}
+				if !eqMatch(t, script, WithTimeout(eqSyncTO), WithHistory(history)) {
+					t.Fatal("striped manager diverged from the reference")
+				}
+			})
+		}
 	}
 }
 

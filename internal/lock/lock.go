@@ -25,6 +25,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/fault"
@@ -76,7 +77,8 @@ var (
 	ErrUnknownTxn = errors.New("lock: unknown transaction")
 )
 
-// waiter is a queued lock request.
+// waiter is a queued lock request. Only a request that cannot be granted
+// at once builds one; an immediate grant allocates nothing.
 type waiter struct {
 	txn     TxnID
 	mode    Mode
@@ -84,81 +86,122 @@ type waiter struct {
 	granted chan struct{} // closed on grant
 }
 
+// holder is one transaction's granted mode on an object.
+type holder struct {
+	txn  TxnID
+	mode Mode
+}
+
+// headInlineHolders is how many holders a lock head stores without a
+// separate allocation. Almost every head has one holder; shared fan-in
+// past this spills to the heap.
+const headInlineHolders = 2
+
 // lockState is the per-object lock head.
 type lockState struct {
-	holders map[TxnID]Mode
+	// holders is scanned linearly; it starts out pointing at inline.
+	holders []holder
 	queue   []*waiter
 	// ever holds the active transactions that have ever locked this
 	// object (relaxed-2PL bookkeeping). Entries are removed when the
-	// transaction finishes, not when it unlocks.
-	ever map[TxnID]struct{}
+	// transaction finishes, not when it unlocks. Nil unless the manager
+	// tracks history.
+	ever   map[TxnID]struct{}
+	inline [headInlineHolders]holder
 }
 
-func newLockState() *lockState {
-	return &lockState{holders: make(map[TxnID]Mode), ever: make(map[TxnID]struct{})}
+func newLockState(history bool) *lockState {
+	ls := &lockState{}
+	ls.holders = ls.inline[:0]
+	if history {
+		ls.ever = make(map[TxnID]struct{})
+	}
+	return ls
 }
 
-// grantable reports whether w can be granted right now: compatible with
-// all current holders and not overtaking the queue (upgrades may overtake
-// non-upgrade waiters). Caller holds the mutex guarding ls.
-func grantable(ls *lockState, w *waiter) bool {
-	if !compatible(ls, w) {
+// holding returns txn's granted mode, if it holds the lock.
+func (ls *lockState) holding(txn TxnID) (Mode, bool) {
+	for _, h := range ls.holders {
+		if h.txn == txn {
+			return h.mode, true
+		}
+	}
+	return 0, false
+}
+
+// setHolder records txn as holding mode (a new holder or an upgrade).
+func (ls *lockState) setHolder(txn TxnID, mode Mode) {
+	for i := range ls.holders {
+		if ls.holders[i].txn == txn {
+			ls.holders[i].mode = mode
+			return
+		}
+	}
+	ls.holders = append(ls.holders, holder{txn, mode})
+}
+
+// dropHolder removes txn from the holders; their order is immaterial.
+func (ls *lockState) dropHolder(txn TxnID) {
+	for i, h := range ls.holders {
+		if h.txn == txn {
+			last := len(ls.holders) - 1
+			ls.holders[i] = ls.holders[last]
+			ls.holders = ls.holders[:last]
+			return
+		}
+	}
+}
+
+// grantable reports whether txn's request for mode can be granted right
+// now: compatible with all current holders and not overtaking the queue
+// (upgrades may overtake non-upgrade waiters). Caller holds the bucket
+// mutex guarding ls.
+func (ls *lockState) grantable(txn TxnID, mode Mode, upgrade bool) bool {
+	if !ls.compatible(txn, mode) {
 		return false
 	}
 	if len(ls.queue) == 0 {
 		return true
 	}
-	if w.upgrade {
-		// May pass non-upgrade waiters but not earlier upgrades.
-		return !ls.queue[0].upgrade
-	}
-	return false
+	// An upgrade may pass non-upgrade waiters but not earlier upgrades.
+	return upgrade && !ls.queue[0].upgrade
 }
 
-// compatible reports whether w conflicts with no current holder (the
-// grantable check for the waiter already at the queue head).
-func compatible(ls *lockState, w *waiter) bool {
-	for t, mode := range ls.holders {
-		if t == w.txn {
-			continue // upgrade: own shared lock is not a conflict
-		}
-		if w.mode == Exclusive || mode == Exclusive {
+// compatible reports whether a request by txn for mode conflicts with no
+// current holder (the grantable check for the waiter already at the
+// queue head). Its own shared lock is no conflict for an upgrade.
+func (ls *lockState) compatible(txn TxnID, mode Mode) bool {
+	for _, h := range ls.holders {
+		if h.txn != txn && (mode == Exclusive || h.mode == Exclusive) {
 			return false
 		}
 	}
 	return true
 }
 
-// enqueue inserts w into ls's wait queue: upgrades go ahead of non-upgrade
+// enqueue inserts w into the wait queue: upgrades go ahead of non-upgrade
 // waiters so a reader upgrading does not wait behind writers that cannot
-// proceed anyway. Caller holds the mutex guarding ls.
-func enqueue(ls *lockState, w *waiter) {
+// proceed anyway.
+func (ls *lockState) enqueue(w *waiter) {
+	pos := len(ls.queue)
 	if w.upgrade {
-		pos := 0
+		pos = 0
 		for pos < len(ls.queue) && ls.queue[pos].upgrade {
 			pos++
 		}
-		ls.queue = append(ls.queue, nil)
-		copy(ls.queue[pos+1:], ls.queue[pos:])
-		ls.queue[pos] = w
-		return
 	}
-	ls.queue = append(ls.queue, w)
+	ls.queue = slices.Insert(ls.queue, pos, w)
 }
 
-// dequeue removes w from ls's wait queue if still present. Caller holds
-// the mutex guarding ls.
-func dequeue(ls *lockState, w *waiter) {
-	for i, q := range ls.queue {
-		if q == w {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			return
-		}
+// dequeue removes w from the wait queue if still present.
+func (ls *lockState) dequeue(w *waiter) {
+	if i := slices.Index(ls.queue, w); i >= 0 {
+		ls.queue = slices.Delete(ls.queue, i, i+1)
 	}
 }
 
 // reapable reports whether an empty lock head can be dropped.
-func reapable(ls *lockState) bool {
+func (ls *lockState) reapable() bool {
 	return len(ls.holders) == 0 && len(ls.queue) == 0 && len(ls.ever) == 0
 }
 

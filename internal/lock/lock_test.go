@@ -344,11 +344,11 @@ func TestInvariantNoIncompatibleHolders(t *testing.T) {
 							break
 						}
 					}
-					// Validate holder compatibility. forEachLockState holds
+					// Validate holder compatibility. forEachHead holds
 					// the owning mutex, so each head is a consistent view.
-					m.forEachLockState(func(_ oid.OID, ls *lockState) {
+					m.forEachHead(func(_ oid.OID, hs map[TxnID]Mode) {
 						var xHolders, holders int
-						for _, md := range ls.holders {
+						for _, md := range hs {
 							holders++
 							if md == Exclusive {
 								xHolders++
@@ -368,7 +368,7 @@ func TestInvariantNoIncompatibleHolders(t *testing.T) {
 		}
 		// All lock heads should be reaped once everything finishes.
 		n := 0
-		m.forEachLockState(func(oid.OID, *lockState) { n++ })
+		m.forEachHead(func(oid.OID, map[TxnID]Mode) { n++ })
 		if n != 0 {
 			t.Fatalf("%d lock heads leaked", n)
 		}
@@ -409,5 +409,148 @@ func TestActiveTxns(t *testing.T) {
 	m.Finish(5)
 	if got := m.ActiveTxns(); len(got) != 1 || got[0] != 6 {
 		t.Fatalf("ActiveTxns after finish = %v", got)
+	}
+}
+
+// sameBucketOID returns an object other than o whose lock head lives in
+// o's bucket.
+func sameBucketOID(o oid.OID) oid.OID {
+	for slot := oid.SlotNum(0); ; slot++ {
+		c := oid.New(2, 1, slot)
+		if bucketIndex(c) == bucketIndex(o) {
+			return c
+		}
+	}
+}
+
+// TestTimedOutWaiterReapsOnlyItsOwnHead: T2 queues on o and is finished
+// while queued (a caller-contract violation). T1's Finish then drops
+// T2's orphaned waiter and reaps o's head, and T3 locks o on a new head.
+// When T2's timer fires, the stale head it still points at must not take
+// T3's live head with it; otherwise T4 is granted X beside T3. In the
+// "recycled" case another object of the bucket first takes the reaped
+// head and hands it back empty, so the stale head is an empty head on
+// the free list when the timer fires.
+func TestTimedOutWaiterReapsOnlyItsOwnHead(t *testing.T) {
+	for _, recycled := range []bool{false, true} {
+		t.Run(map[bool]string{false: "fresh", true: "recycled"}[recycled], func(t *testing.T) {
+			m := NewManager(WithTimeout(20 * time.Millisecond))
+			for txn := TxnID(1); txn <= 4; txn++ {
+				m.Begin(txn)
+			}
+			if err := m.Lock(1, testOID, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+			stale := make(chan error, 1)
+			go func() { stale <- m.LockTimeout(2, testOID, Exclusive, 250*time.Millisecond) }()
+			for deadline := time.Now().Add(5 * time.Second); m.Stats().Waits < 1; {
+				if time.Now().After(deadline) {
+					t.Fatal("T2 never queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			m.Finish(2)
+			m.Finish(1)
+			other := sameBucketOID(testOID)
+			if recycled {
+				if err := m.Lock(4, other, Exclusive); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Lock(3, testOID, Exclusive); err != nil {
+				t.Fatalf("T3 on a released object: %v", err)
+			}
+			if recycled {
+				if err := m.Unlock(4, other); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-stale; !errors.Is(err, ErrTimeout) {
+				t.Fatalf("orphaned T2 request: %v, want a timeout", err)
+			}
+			if err := m.Lock(4, testOID, Exclusive); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("T4's X lock beside T3's: %v, want a timeout", err)
+			}
+			if mode, ok := m.Holds(3, testOID); !ok || mode != Exclusive {
+				t.Fatalf("Holds(3) = %v,%v", mode, ok)
+			}
+		})
+	}
+}
+
+// TestNoConflictingGrantsUnderHeadReuse has goroutines lock and upgrade
+// random objects of one bucket with timeouts short enough that many
+// requests give up, so heads are reaped, recycled and abandoned by
+// timed-out waiters all the time. Each goroutine records what it holds
+// in per-object counters (after a grant, and before Finish releases), so
+// the counters never overstate the real holders: an exclusive holder
+// that sees another holder of the same object is a conflicting grant,
+// whichever head it was made on.
+func TestNoConflictingGrantsUnderHeadReuse(t *testing.T) {
+	objs := []oid.OID{testOID}
+	for len(objs) < 4 {
+		objs = append(objs, sameBucketOID(objs[len(objs)-1]))
+	}
+	var shared, exclusive [4]atomic.Int32
+	var violations atomic.Int32
+	check := func(i int) {
+		if x := exclusive[i].Load(); x > 1 || (x == 1 && shared[i].Load() > 0) {
+			violations.Add(1)
+		}
+	}
+	m := NewManager(WithTimeout(200 * time.Microsecond))
+	var next atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 1000; i++ {
+				txn := TxnID(next.Add(1))
+				m.Begin(txn)
+				held := map[int]Mode{}
+				for k := 0; k < 3; k++ {
+					j := rng.Intn(len(objs))
+					mode := Mode(rng.Intn(2))
+					if m.Lock(txn, objs[j], mode) != nil {
+						break
+					}
+					switch prev, ok := held[j]; {
+					case !ok && mode == Shared:
+						shared[j].Add(1)
+						held[j] = Shared
+					case !ok:
+						exclusive[j].Add(1)
+						held[j] = Exclusive
+					case prev == Shared && mode == Exclusive:
+						exclusive[j].Add(1)
+						shared[j].Add(-1)
+						held[j] = Exclusive
+					}
+					check(j)
+				}
+				for j, mode := range held {
+					if mode == Shared {
+						shared[j].Add(-1)
+					} else {
+						exclusive[j].Add(-1)
+					}
+				}
+				m.Finish(txn)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := violations.Load(); n > 0 {
+		t.Fatalf("%d conflicting grants", n)
+	}
+	n := 0
+	m.forEachHead(func(oid.OID, map[TxnID]Mode) { n++ })
+	if n != 0 {
+		t.Fatalf("%d lock heads leaked", n)
+	}
+	if st := m.Stats(); st.Timeouts == 0 {
+		t.Fatalf("no request timed out (stats %+v); the schedule never abandoned a head", st)
 	}
 }

@@ -1,8 +1,9 @@
 package lock
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +21,7 @@ import (
 // bucket mutex):
 //
 //	bucket.mu → txnBucket.mu   (waiter lookup during grant)
-//	bucket.mu → txnState.mu    (held/everLocked bookkeeping)
+//	bucket.mu → txnState.mu    (lock-set bookkeeping)
 //
 // txnBucket.mu and txnState.mu are leaves: nothing is acquired under
 // them. Finish releases its locks one bucket at a time in ascending
@@ -43,7 +44,26 @@ type Manager struct {
 type bucket struct {
 	mu    sync.Mutex
 	locks map[oid.OID]*lockState
-	_     [40]byte
+	// free holds reaped heads for reuse, at most maxFreeHeads of them,
+	// so a steady stream of uncontended grants allocates no heads.
+	free []*lockState
+	_    [24]byte
+}
+
+// maxFreeHeads bounds each bucket's free list, so a transaction that
+// released thousands of locks does not pin their heads.
+const maxFreeHeads = 16
+
+// head returns an empty lock head, reusing a reaped one if the
+// bucket has one. Caller holds b's mutex.
+func (b *bucket) head(history bool) *lockState {
+	if n := len(b.free); n > 0 {
+		ls := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return ls
+	}
+	return newLockState(history)
 }
 
 // txnBucket owns a slice of the transaction table.
@@ -53,29 +73,111 @@ type txnBucket struct {
 	_    [40]byte
 }
 
-// txnState tracks one active transaction. Its mutex guards held and
-// everLocked, which the grant path mutates from other transactions'
-// goroutines; done and finishing are touched only by the owner (the
-// caller contract forbids racing Finish with the txn's own Lock calls).
+// txnInlineLocks is how many locks a transaction records without a map.
+// A walk of the paper's workload locks at most eight objects; a
+// transaction that locks more (PQR and offline quiesce, the database
+// builder's glue pass) spills to a map, so it never goes quadratic.
+const txnInlineLocks = 8
+
+// historyOnly is the mode recorded for an object the transaction has
+// unlocked early: it holds nothing there, but the object's head still
+// names it in ever until the transaction finishes.
+const historyOnly Mode = -1
+
+// txnLock is one object a transaction has locked.
+type txnLock struct {
+	o    oid.OID
+	mode Mode // historyOnly once unlocked early under history tracking
+}
+
+// txnState tracks one active transaction. Its mutex guards the lock set,
+// which the grant path mutates from other transactions' goroutines, and
+// done; finishing is touched only by the owner (the caller contract
+// forbids racing Finish with the txn's own Lock calls).
 type txnState struct {
-	mu   sync.Mutex
-	held map[oid.OID]Mode
-	// everLocked lists objects whose lockState.ever contains this txn,
-	// so Finish can clean them up.
-	everLocked map[oid.OID]struct{}
-	done       chan struct{} // closed when the transaction finishes
+	mu sync.Mutex
+	// The lock set: inline[:n] until it outgrows the array, then spill
+	// holds every entry and n stays 0.
+	n      int
+	inline [txnInlineLocks]txnLock
+	spill  map[oid.OID]Mode
+	// done is made by the first Done call and closed by Finish; finished
+	// tells a later Done the transaction is over.
+	done     chan struct{}
+	finished bool
 	// finishing serializes duplicate Finish calls: the loser observes the
 	// transaction as already gone.
 	finishing atomic.Bool
 }
 
-func newTxnState() *txnState {
-	return &txnState{
-		held:       make(map[oid.OID]Mode),
-		everLocked: make(map[oid.OID]struct{}),
-		done:       make(chan struct{}),
+// lookup returns the mode recorded for o. Caller holds ts.mu.
+func (ts *txnState) lookup(o oid.OID) (Mode, bool) {
+	if ts.spill != nil {
+		mode, ok := ts.spill[o]
+		return mode, ok
+	}
+	for _, e := range ts.inline[:ts.n] {
+		if e.o == o {
+			return e.mode, true
+		}
+	}
+	return 0, false
+}
+
+// set records mode for o. Caller holds ts.mu.
+func (ts *txnState) set(o oid.OID, mode Mode) {
+	if ts.spill != nil {
+		ts.spill[o] = mode
+		return
+	}
+	for i := range ts.inline[:ts.n] {
+		if ts.inline[i].o == o {
+			ts.inline[i].mode = mode
+			return
+		}
+	}
+	if ts.n < len(ts.inline) {
+		ts.inline[ts.n] = txnLock{o, mode}
+		ts.n++
+		return
+	}
+	ts.spill = make(map[oid.OID]Mode, 2*len(ts.inline))
+	for _, e := range ts.inline {
+		ts.spill[e.o] = e.mode
+	}
+	ts.spill[o] = mode
+	ts.n = 0
+}
+
+// remove forgets o. Caller holds ts.mu.
+func (ts *txnState) remove(o oid.OID) {
+	if ts.spill != nil {
+		delete(ts.spill, o)
+		return
+	}
+	for i := range ts.inline[:ts.n] {
+		if ts.inline[i].o == o {
+			ts.n--
+			ts.inline[i] = ts.inline[ts.n]
+			return
+		}
 	}
 }
+
+// appendLocks appends the lock set to dst. Caller holds ts.mu.
+func (ts *txnState) appendLocks(dst []txnLock) []txnLock {
+	for o, mode := range ts.spill {
+		dst = append(dst, txnLock{o, mode})
+	}
+	return append(dst, ts.inline[:ts.n]...)
+}
+
+// closedChan is what Done returns for a transaction that is over.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // NewManager creates a lock manager.
 func NewManager(opts ...Option) *Manager {
@@ -130,7 +232,7 @@ func (m *Manager) Begin(txn TxnID) {
 	if _, ok := tb.txns[txn]; ok {
 		panic(fmt.Sprintf("lock: transaction %d begun twice", txn))
 	}
-	tb.txns[txn] = newTxnState()
+	tb.txns[txn] = &txnState{}
 }
 
 // Finish releases every lock held by txn, clears its history entries, and
@@ -146,46 +248,34 @@ func (m *Manager) Finish(txn TxnID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownTxn, txn)
 	}
 
-	// Snapshot the lock sets. The owner is the only goroutine still
+	// Snapshot the lock set. The owner is the only goroutine still
 	// operating on this transaction (Finish must not race its own pending
 	// Lock), so no grants can arrive after the snapshot.
+	var inline [txnInlineLocks]txnLock
 	ts.mu.Lock()
-	byBucket := make(map[uint64]*finishWork)
-	for o := range ts.held {
-		w := byBucket[bucketIndex(o)]
-		if w == nil {
-			w = &finishWork{}
-			byBucket[bucketIndex(o)] = w
-		}
-		w.release = append(w.release, o)
-	}
-	for o := range ts.everLocked {
-		w := byBucket[bucketIndex(o)]
-		if w == nil {
-			w = &finishWork{}
-			byBucket[bucketIndex(o)] = w
-		}
-		w.ever = append(w.ever, o)
-	}
+	locks := ts.appendLocks(inline[:0])
+	ts.n, ts.spill = 0, nil
 	ts.mu.Unlock()
 
-	idxs := make([]uint64, 0, len(byBucket))
-	for i := range byBucket {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	for _, i := range idxs {
-		b := &m.buckets[i]
-		w := byBucket[i]
+	slices.SortFunc(locks, func(a, b txnLock) int {
+		return cmp.Compare(bucketIndex(a.o), bucketIndex(b.o))
+	})
+	for i := 0; i < len(locks); {
+		bi := bucketIndex(locks[i].o)
+		b := &m.buckets[bi]
 		b.mu.Lock()
-		for _, o := range w.release {
-			m.releaseLocked(b, txn, ts, o)
-		}
-		for _, o := range w.ever {
-			if ls, ok := b.locks[o]; ok {
-				delete(ls.ever, txn)
-				m.maybeReap(b, o, ls)
+		for ; i < len(locks) && bucketIndex(locks[i].o) == bi; i++ {
+			o := locks[i].o
+			ls, ok := b.locks[o]
+			if !ok {
+				continue
 			}
+			if locks[i].mode != historyOnly {
+				ls.dropHolder(txn)
+				m.grantQueued(ls, o)
+			}
+			delete(ls.ever, txn)
+			m.maybeReap(b, o, ls)
 		}
 		b.mu.Unlock()
 	}
@@ -194,25 +284,31 @@ func (m *Manager) Finish(txn TxnID) error {
 	tb.mu.Lock()
 	delete(tb.txns, txn)
 	tb.mu.Unlock()
-	close(ts.done)
+	ts.mu.Lock()
+	ts.finished = true
+	if ts.done != nil {
+		close(ts.done)
+	}
+	ts.mu.Unlock()
 	return nil
-}
-
-// finishWork is one bucket's share of a Finish.
-type finishWork struct {
-	release []oid.OID
-	ever    []oid.OID
 }
 
 // Done returns a channel closed when txn finishes, or a closed channel if
 // the transaction is already gone.
 func (m *Manager) Done(txn TxnID) <-chan struct{} {
-	if ts, ok := m.lookupTxn(txn); ok {
-		return ts.done
+	ts, ok := m.lookupTxn(txn)
+	if !ok {
+		return closedChan
 	}
-	ch := make(chan struct{})
-	close(ch)
-	return ch
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if ts.finished {
+		return closedChan
+	}
+	if ts.done == nil {
+		ts.done = make(chan struct{})
+	}
+	return ts.done
 }
 
 // Holds reports the mode txn holds on o, if any.
@@ -222,9 +318,12 @@ func (m *Manager) Holds(txn TxnID, o oid.OID) (Mode, bool) {
 		return 0, false
 	}
 	ts.mu.Lock()
-	mode, ok := ts.held[o]
+	mode, ok := ts.lookup(o)
 	ts.mu.Unlock()
-	return mode, ok
+	if !ok || mode == historyOnly {
+		return 0, false
+	}
+	return mode, true
 }
 
 // HeldLocks returns the set of objects txn currently locks.
@@ -234,9 +333,11 @@ func (m *Manager) HeldLocks(txn TxnID) []oid.OID {
 		return nil
 	}
 	ts.mu.Lock()
-	out := make([]oid.OID, 0, len(ts.held))
-	for o := range ts.held {
-		out = append(out, o)
+	var out []oid.OID
+	for _, e := range ts.appendLocks(nil) {
+		if e.mode != historyOnly {
+			out = append(out, e.o)
+		}
 	}
 	ts.mu.Unlock()
 	return out
@@ -262,23 +363,23 @@ func (m *Manager) acquire(txn TxnID, o oid.OID, mode Mode, timeout time.Duration
 	b.mu.Lock()
 	ls := b.locks[o]
 	if ls == nil {
-		ls = newLockState()
+		ls = b.head(m.trackHistory)
 		b.locks[o] = ls
 	}
-	held, holding := ls.holders[txn]
+	held, holding := ls.holding(txn)
 	if holding && held >= mode {
 		b.mu.Unlock()
 		return nil
 	}
 	upgrade := holding // held == Shared, mode == Exclusive
-	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, granted: make(chan struct{})}
-	if grantable(ls, w) {
-		m.grant(ls, w, ts, o)
+	if ls.grantable(txn, mode, upgrade) {
+		m.grant(ls, txn, mode, ts, o)
 		m.acquired.Add(1)
 		b.mu.Unlock()
 		return nil
 	}
-	enqueue(ls, w)
+	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, granted: make(chan struct{})}
+	ls.enqueue(w)
 	m.waits.Add(1)
 	b.mu.Unlock()
 
@@ -297,7 +398,7 @@ func (m *Manager) acquire(txn TxnID, o oid.OID, mode Mode, timeout time.Duration
 		return nil
 	default:
 	}
-	dequeue(ls, w)
+	ls.dequeue(w)
 	m.maybeReap(b, o, ls)
 	m.timeouts.Add(1)
 	return timeoutErrorf("txn %d, %s lock on %s", txn, mode, o)
@@ -317,10 +418,19 @@ func (m *Manager) Unlock(txn TxnID, o oid.OID) error {
 	if !has {
 		return fmt.Errorf("lock: txn %d does not hold %s", txn, o)
 	}
-	if _, holding := ls.holders[txn]; !holding {
+	if _, holding := ls.holding(txn); !holding {
 		return fmt.Errorf("lock: txn %d does not hold %s", txn, o)
 	}
-	m.releaseLocked(b, txn, ts, o)
+	ls.dropHolder(txn)
+	ts.mu.Lock()
+	if m.trackHistory {
+		ts.set(o, historyOnly)
+	} else {
+		ts.remove(o)
+	}
+	ts.mu.Unlock()
+	m.grantQueued(ls, o)
+	m.maybeReap(b, o, ls)
 	return nil
 }
 
@@ -357,38 +467,27 @@ func (m *Manager) ActiveTxns() []TxnID {
 	return out
 }
 
-// grant records the grant of w. Caller holds the bucket mutex for o;
-// ts.mu is a leaf below it.
-func (m *Manager) grant(ls *lockState, w *waiter, ts *txnState, o oid.OID) {
-	ls.holders[w.txn] = w.mode
-	ts.mu.Lock()
-	ts.held[o] = w.mode
-	if m.trackHistory {
-		ls.ever[w.txn] = struct{}{}
-		ts.everLocked[o] = struct{}{}
+// grant records txn's grant of mode on o. Caller holds the bucket mutex
+// for o; ts.mu is a leaf below it.
+func (m *Manager) grant(ls *lockState, txn TxnID, mode Mode, ts *txnState, o oid.OID) {
+	ls.setHolder(txn, mode)
+	if ls.ever != nil {
+		ls.ever[txn] = struct{}{}
 	}
+	ts.mu.Lock()
+	ts.set(o, mode)
 	ts.mu.Unlock()
-	close(w.granted)
 }
 
-// releaseLocked removes txn's hold on o and grants now-compatible waiters
-// in FIFO order. Caller holds b's mutex.
-func (m *Manager) releaseLocked(b *bucket, txn TxnID, ts *txnState, o oid.OID) {
-	ls, ok := b.locks[o]
-	if !ok {
-		return
-	}
-	delete(ls.holders, txn)
-	ts.mu.Lock()
-	delete(ts.held, o)
-	ts.mu.Unlock()
-	// Grant from the head of the queue while compatible.
+// grantQueued grants now-compatible waiters from the head of o's queue in
+// FIFO order. Caller holds the bucket mutex for o.
+func (m *Manager) grantQueued(ls *lockState, o oid.OID) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
-		if !compatible(ls, w) {
+		if !ls.compatible(w.txn, w.mode) {
 			break
 		}
-		ls.queue = ls.queue[1:]
+		ls.queue = slices.Delete(ls.queue, 0, 1)
 		wts, ok := m.lookupTxn(w.txn)
 		if !ok {
 			// The waiter's transaction finished while queued. That
@@ -397,15 +496,24 @@ func (m *Manager) releaseLocked(b *bucket, txn TxnID, ts *txnState, o oid.OID) {
 			// request will time out.
 			continue
 		}
-		m.grant(ls, w, wts, o)
+		m.grant(ls, w.txn, w.mode, wts, o)
+		close(w.granted)
 		m.acquired.Add(1)
 	}
-	m.maybeReap(b, o, ls)
 }
 
-// maybeReap drops an empty lock head. Caller holds b's mutex.
+// maybeReap drops o's head if it is empty and puts it on the bucket's
+// free list. ls may be stale: a waiter that timed out after its
+// transaction was finished (a caller-contract violation) can hold a head
+// that was reaped and since reused, so only the head o maps to now is
+// ever dropped. Caller holds b's mutex.
 func (m *Manager) maybeReap(b *bucket, o oid.OID, ls *lockState) {
-	if reapable(ls) {
-		delete(b.locks, o)
+	if b.locks[o] != ls || !ls.reapable() {
+		return
+	}
+	delete(b.locks, o)
+	if len(b.free) < maxFreeHeads {
+		ls.holders = ls.inline[:0]
+		b.free = append(b.free, ls)
 	}
 }

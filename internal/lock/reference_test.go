@@ -10,16 +10,18 @@ import (
 
 // reference is the original lock manager: all state guarded by a single
 // mutex, waits on per-request channels outside the critical section. It
-// is retained verbatim (modulo the shared lockState helpers) as the
-// semantic oracle that the striped Manager is property-tested against
-// (TestStripedMatchesReference) and benchmarked against
-// (BenchmarkLockScaling*); production code cannot reach it.
+// is retained as the semantic oracle that the striped Manager is
+// property-tested against (TestStripedMatchesReference) and benchmarked
+// against (BenchmarkLockScaling*); production code cannot reach it. It
+// shares no lock-head code with the Manager: its heads keep holders and
+// history in maps and its compatibility check is its own, so the
+// equivalence property compares two independent implementations.
 type reference struct {
 	timeout      time.Duration
 	trackHistory bool
 
 	mu    sync.Mutex
-	locks map[oid.OID]*lockState
+	locks map[oid.OID]*refHead
 	txns  map[TxnID]*refTxnState
 	stats Stats
 }
@@ -36,7 +38,7 @@ func newReference(cfg config) *reference {
 	return &reference{
 		timeout:      cfg.timeout,
 		trackHistory: cfg.trackHistory,
-		locks:        make(map[oid.OID]*lockState),
+		locks:        make(map[oid.OID]*refHead),
 		txns:         make(map[TxnID]*refTxnState),
 	}
 }
@@ -132,7 +134,7 @@ func (m *reference) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Du
 	}
 	ls := m.locks[o]
 	if ls == nil {
-		ls = newLockState()
+		ls = newRefHead()
 		m.locks[o] = ls
 	}
 	held, holding := ls.holders[txn]
@@ -142,13 +144,13 @@ func (m *reference) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Du
 	}
 	upgrade := holding // held == Shared, mode == Exclusive
 	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, granted: make(chan struct{})}
-	if grantable(ls, w) {
+	if ls.grantable(w) {
 		m.grant(ls, w, ts, o)
 		m.stats.Acquired++
 		m.mu.Unlock()
 		return nil
 	}
-	enqueue(ls, w)
+	ls.enqueue(w)
 	m.stats.Waits++
 	m.mu.Unlock()
 
@@ -167,7 +169,7 @@ func (m *reference) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Du
 		return nil
 	default:
 	}
-	dequeue(ls, w)
+	ls.dequeue(w)
 	m.maybeReap(o, ls)
 	m.stats.Timeouts++
 	return timeoutErrorf("txn %d, %s lock on %s", txn, mode, o)
@@ -214,7 +216,7 @@ func (m *reference) ActiveTxns() []TxnID {
 }
 
 // grant records the grant of w. Caller holds m.mu.
-func (m *reference) grant(ls *lockState, w *waiter, ts *refTxnState, o oid.OID) {
+func (m *reference) grant(ls *refHead, w *waiter, ts *refTxnState, o oid.OID) {
 	ls.holders[w.txn] = w.mode
 	ts.held[o] = w.mode
 	if m.trackHistory {
@@ -237,7 +239,7 @@ func (m *reference) releaseLocked(txn TxnID, o oid.OID) {
 	// Grant from the head of the queue while compatible.
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
-		if !compatible(ls, w) {
+		if !ls.compatible(w) {
 			break
 		}
 		ls.queue = ls.queue[1:]
@@ -255,18 +257,93 @@ func (m *reference) releaseLocked(txn TxnID, o oid.OID) {
 	m.maybeReap(o, ls)
 }
 
-// maybeReap drops an empty lock head. Caller holds m.mu.
-func (m *reference) maybeReap(o oid.OID, ls *lockState) {
-	if reapable(ls) {
+// maybeReap drops an empty lock head, unless o has since been given a
+// new one. Caller holds m.mu.
+func (m *reference) maybeReap(o oid.OID, ls *refHead) {
+	if m.locks[o] == ls && ls.reapable() {
 		delete(m.locks, o)
 	}
 }
 
-// forEachLockState visits every lock head under the manager mutex.
-func (m *reference) forEachLockState(fn func(o oid.OID, ls *lockState)) {
+// forEachHead visits every lock head under the manager mutex.
+func (m *reference) forEachHead(fn func(o oid.OID, holders map[TxnID]Mode)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for o, ls := range m.locks {
-		fn(o, ls)
+		fn(o, ls.holders)
 	}
+}
+
+// refHead is the oracle's per-object lock head.
+type refHead struct {
+	holders map[TxnID]Mode
+	queue   []*waiter
+	// ever holds the active transactions that have ever locked this
+	// object; entries go when the transaction finishes.
+	ever map[TxnID]struct{}
+}
+
+func newRefHead() *refHead {
+	return &refHead{holders: make(map[TxnID]Mode), ever: make(map[TxnID]struct{})}
+}
+
+// grantable reports whether w can be granted right now: compatible with
+// all current holders and not overtaking the queue (upgrades may overtake
+// non-upgrade waiters).
+func (ls *refHead) grantable(w *waiter) bool {
+	if !ls.compatible(w) {
+		return false
+	}
+	if len(ls.queue) == 0 {
+		return true
+	}
+	if w.upgrade {
+		// May pass non-upgrade waiters but not earlier upgrades.
+		return !ls.queue[0].upgrade
+	}
+	return false
+}
+
+// compatible reports whether w conflicts with no current holder.
+func (ls *refHead) compatible(w *waiter) bool {
+	for t, mode := range ls.holders {
+		if t == w.txn {
+			continue // upgrade: own shared lock is not a conflict
+		}
+		if w.mode == Exclusive || mode == Exclusive {
+			return false
+		}
+	}
+	return true
+}
+
+// enqueue inserts w into the wait queue: upgrades go ahead of non-upgrade
+// waiters.
+func (ls *refHead) enqueue(w *waiter) {
+	if w.upgrade {
+		pos := 0
+		for pos < len(ls.queue) && ls.queue[pos].upgrade {
+			pos++
+		}
+		ls.queue = append(ls.queue, nil)
+		copy(ls.queue[pos+1:], ls.queue[pos:])
+		ls.queue[pos] = w
+		return
+	}
+	ls.queue = append(ls.queue, w)
+}
+
+// dequeue removes w from the wait queue if still present.
+func (ls *refHead) dequeue(w *waiter) {
+	for i, q := range ls.queue {
+		if q == w {
+			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+			return
+		}
+	}
+}
+
+// reapable reports whether an empty lock head can be dropped.
+func (ls *refHead) reapable() bool {
+	return len(ls.holders) == 0 && len(ls.queue) == 0 && len(ls.ever) == 0
 }
