@@ -38,8 +38,16 @@ type Config struct {
 	PageSize int
 	// FillFactor bounds how full the first-fit allocator packs pages.
 	FillFactor float64
-	// LockTimeout is the deadlock timeout (paper: 1 s).
+	// LockTimeout is the deadlock timeout (paper: 1 s). It bounds every
+	// lock wait in both deadlock modes.
 	LockTimeout time.Duration
+	// TimeoutDeadlocks resolves deadlocks only by LockTimeout, as the
+	// paper's testbed did. When false, the lock manager also checks the
+	// waits-for graph whenever a request queues, and when a cycle forms
+	// the member whose timeout would fire first fails at once
+	// (lock.ErrDeadlock, an ErrTimeout).
+	// DefaultConfig sets it; REORG_MODE=hardware clears it.
+	TimeoutDeadlocks bool
 	// FlushLatency simulates the log device write time; commits wait for
 	// a group-commit flush covering their commit record.
 	FlushLatency time.Duration
@@ -101,16 +109,17 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used by the experiments unless
-// overridden: 8 KiB pages, 1 s lock timeout, strict 2PL, and a 2 ms
-// simulated log device.
+// overridden: 8 KiB pages, 1 s lock timeout as the only deadlock
+// resolver, strict 2PL, and a 2 ms simulated log device.
 func DefaultConfig() Config {
 	return Config{
-		PageSize:     8192,
-		FillFactor:   storage.DefaultFillFactor,
-		LockTimeout:  time.Second,
-		FlushLatency: 2 * time.Millisecond,
-		Strict2PL:    true,
-		LatchStripes: latch.DefaultStripes,
+		PageSize:         8192,
+		FillFactor:       storage.DefaultFillFactor,
+		LockTimeout:      time.Second,
+		TimeoutDeadlocks: true,
+		FlushLatency:     2 * time.Millisecond,
+		Strict2PL:        true,
+		LatchStripes:     latch.DefaultStripes,
 	}
 }
 
@@ -193,11 +202,12 @@ func openDB(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
 	if cfg.LatchStripes == 0 {
 		cfg.LatchStripes = def.LatchStripes
 	}
-	// Hardware mode (REORG_MODE=hardware) turns the multicore paths on by
-	// default, mirroring how REORG_DISK_BACKED forces disk mode; explicit
-	// config always wins.
-	if !cfg.GroupCommit && hwmode.Enabled() {
+	// Hardware mode (REORG_MODE=hardware) forces group commit and
+	// waits-for deadlock detection on, mirroring how REORG_DISK_BACKED
+	// forces disk mode.
+	if hwmode.Enabled() {
 		cfg.GroupCommit = true
+		cfg.TimeoutDeadlocks = false
 	}
 	if cfg.ReaderShards == 0 {
 		if hwmode.Enabled() {
@@ -246,10 +256,11 @@ func openDB(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
 		store:       st,
 		oidmap:      m,
 		ownsDataDir: ownsDataDir,
-		locks:       lock.NewManager(lock.WithTimeout(cfg.LockTimeout), lock.WithHistory(!cfg.Strict2PL)),
-		latches:     latch.NewSharded(cfg.LatchStripes, cfg.ReaderShards),
-		an:          analyzer.New(),
-		active:      make(map[lock.TxnID]*Txn),
+		locks: lock.NewManager(lock.WithTimeout(cfg.LockTimeout), lock.WithHistory(!cfg.Strict2PL),
+			lock.WithDeadlockDetection(!cfg.TimeoutDeadlocks)),
+		latches: latch.NewSharded(cfg.LatchStripes, cfg.ReaderShards),
+		an:      analyzer.New(),
+		active:  make(map[lock.TxnID]*Txn),
 	}
 	opts := []wal.LogOption{wal.WithFlushLatency(cfg.FlushLatency), wal.WithObserver(d.an.Observe)}
 	if cfg.GroupCommit {

@@ -170,6 +170,7 @@ func (t *Txn) logApply(rec *wal.Record, o oid.OID) error {
 	defer t.db.ckptGate.RUnlock()
 	t.db.latches.Latch(o)
 	defer t.db.latches.Unlatch(o)
+	rec.Txn = wal.TxnID(t.id) // the store reserves space a shrink frees for it
 	if err := t.db.store.Apply(rec, func() (wal.LSN, error) { return t.append(rec) }); err != nil {
 		return err
 	}
@@ -455,8 +456,10 @@ func (t *Txn) Abort() error {
 	return err
 }
 
-// finish releases locks and deregisters the transaction.
+// finish releases the transaction's page space reservations and locks
+// and deregisters it.
 func (t *Txn) finish() {
+	t.db.store.ReleaseReservations(wal.TxnID(t.id))
 	t.db.locks.Finish(t.id)
 	t.db.forget(t.id)
 }

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/oid"
@@ -10,7 +11,16 @@ import (
 // grant that does not wait allocates nothing, and a whole transaction of
 // eight uncontended locks allocates only its transaction state.
 func TestGrantAllocatesNothing(t *testing.T) {
-	m := NewManager()
+	// Deadlock detection runs only once a request queues, so it must not
+	// change the budget.
+	for _, detect := range []bool{false, true} {
+		t.Run(fmt.Sprintf("detect=%v", detect), func(t *testing.T) {
+			grantAllocBudget(t, NewManager(WithDeadlockDetection(detect)))
+		})
+	}
+}
+
+func grantAllocBudget(t *testing.T, m *Manager) {
 	const txn = 1
 	m.Begin(txn)
 	o := testOID

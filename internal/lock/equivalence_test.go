@@ -30,7 +30,12 @@ import (
 // the driver finishes transactions, or timed out if they form an upgrade
 // deadlock cycle. Async timeouts are staggered by op index (200 ms apart,
 // far above scheduling jitter) so the order in which cycle members give
-// up is schedule-determined too.
+// up is schedule-determined too. With deadlock detection on, a cycle is
+// broken inside the call of the request that closes it, before that
+// request counts as queued, so no cycle is left for cleanup. Its victim
+// has the earliest deadline: a sync request's (5 ms) is earlier than any
+// async one's, and of two async requests the one sent first has the
+// earlier deadline, by the 200 ms stride.
 
 // lockManager is the surface the equivalence suite and the scaling
 // benchmarks drive; the production Manager and the reference oracle both
@@ -200,6 +205,8 @@ func errClass(err error) string {
 	switch {
 	case err == nil:
 		return "ok"
+	case errors.Is(err, ErrDeadlock):
+		return "deadlock"
 	case errors.Is(err, ErrTimeout):
 		return "timeout"
 	case errors.Is(err, ErrUnknownTxn):
@@ -455,15 +462,25 @@ func TestStripedMatchesReference(t *testing.T) {
 		stripeHash(uint64(eqTxnIDs[0])) == stripeHash(uint64(eqTxnIDs[2])) {
 		t.Fatalf("schedule keys do not share buckets as intended: objs %v, txns %v", eqObjIDs, eqTxnIDs)
 	}
-	prop := func(script eqScript) bool {
-		return eqMatch(t, script, WithTimeout(eqSyncTO), WithHistory(true))
-	}
-	cfg := &quick.Config{
-		MaxCount: eqQuickCount(),
-		Rand:     rand.New(rand.NewSource(20260806)),
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
+	eqEachDetect(t, func(t *testing.T, detect Option) {
+		prop := func(script eqScript) bool {
+			return eqMatch(t, script, WithTimeout(eqSyncTO), WithHistory(true), detect)
+		}
+		cfg := &quick.Config{
+			MaxCount: eqQuickCount(),
+			Rand:     rand.New(rand.NewSource(20260806)),
+		}
+		if err := quick.Check(prop, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// eqEachDetect runs fn as two subtests, with deadlock detection off
+// (the paper's timeout-only rule) and on.
+func eqEachDetect(t *testing.T, fn func(t *testing.T, detect Option)) {
+	for _, on := range []bool{false, true} {
+		t.Run(fmt.Sprintf("detect=%v", on), func(t *testing.T) { fn(t, WithDeadlockDetection(on)) })
 	}
 }
 
@@ -474,16 +491,18 @@ func TestStripedMatchesReference(t *testing.T) {
 func TestStripedMatchesReferenceSpill(t *testing.T) {
 	for _, history := range []bool{false, true} {
 		t.Run(fmt.Sprintf("history=%v", history), func(t *testing.T) {
-			prop := func(script eqSpillScript) bool {
-				return eqMatch(t, script.eqScript, WithTimeout(eqSyncTO), WithHistory(history))
-			}
-			cfg := &quick.Config{
-				MaxCount: eqQuickCount(),
-				Rand:     rand.New(rand.NewSource(20261019)),
-			}
-			if err := quick.Check(prop, cfg); err != nil {
-				t.Fatal(err)
-			}
+			eqEachDetect(t, func(t *testing.T, detect Option) {
+				prop := func(script eqSpillScript) bool {
+					return eqMatch(t, script.eqScript, WithTimeout(eqSyncTO), WithHistory(history), detect)
+				}
+				cfg := &quick.Config{
+					MaxCount: eqQuickCount(),
+					Rand:     rand.New(rand.NewSource(20261019)),
+				}
+				if err := quick.Check(prop, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
 	}
 }
@@ -529,12 +548,65 @@ func TestStripedMatchesReferenceHeadReuse(t *testing.T) {
 	for name, ops := range schedules {
 		for _, history := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/history=%v", name, history), func(t *testing.T) {
+				eqEachDetect(t, func(t *testing.T, detect Option) {
+					script := eqScript{objs: eqObjIDs[:], ops: ops}
+					if !eqMatch(t, script, WithTimeout(eqSyncTO), WithHistory(history), detect) {
+						t.Fatal("striped manager diverged from the reference")
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestStripedMatchesReferenceCycles replays fixed schedules whose last
+// lock request closes a waits-for cycle: over two objects, over three
+// transactions, and through a waiter queued ahead rather than a holder.
+// With detection on, both managers fail the request with the earliest
+// deadline at once: the closing sync request, or in "async-close" the
+// older of two async ones; with it off, both time it out.
+func TestStripedMatchesReferenceCycles(t *testing.T) {
+	t0, t1, t2 := eqTxnIDs[0], eqTxnIDs[1], eqTxnIDs[2]
+	o0, o1, o2 := eqObjIDs[0], eqObjIDs[1], eqObjIDs[2]
+	op := func(kind eqOpKind, txn TxnID, o oid.OID, mode Mode) eqOp {
+		return eqOp{kind: kind, txn: txn, obj: o, mode: mode}
+	}
+	begin := func(txn TxnID) eqOp { return eqOp{kind: opBegin, txn: txn} }
+	finish := func(txn TxnID) eqOp { return eqOp{kind: opFinish, txn: txn} }
+	schedules := map[string][]eqOp{
+		"two-objects": {
+			begin(t0), begin(t1),
+			op(opLockSync, t0, o0, Exclusive), op(opLockSync, t1, o1, Exclusive),
+			op(opLockAsync, t0, o1, Exclusive), op(opLockSync, t1, o0, Exclusive),
+			finish(t1), finish(t0),
+		},
+		"three-txns": {
+			begin(t0), begin(t1), begin(t2),
+			op(opLockSync, t0, o0, Exclusive), op(opLockSync, t1, o1, Shared), op(opLockSync, t2, o2, Exclusive),
+			op(opLockAsync, t0, o1, Exclusive), op(opLockAsync, t1, o2, Shared),
+			op(opLockSync, t2, o0, Shared), finish(t2),
+		},
+		"async-close": {
+			begin(t0), begin(t1),
+			op(opLockSync, t0, o0, Exclusive), op(opLockSync, t1, o1, Exclusive),
+			op(opLockAsync, t0, o1, Exclusive), op(opLockAsync, t1, o0, Exclusive),
+		},
+		"through-waiter": {
+			begin(t0), begin(t1), begin(t2),
+			op(opLockSync, t0, o0, Shared), op(opLockSync, t2, o1, Exclusive),
+			op(opLockAsync, t1, o0, Exclusive), op(opLockAsync, t2, o0, Shared),
+			op(opLockSync, t0, o1, Shared), finish(t0),
+		},
+	}
+	for name, ops := range schedules {
+		t.Run(name, func(t *testing.T) {
+			eqEachDetect(t, func(t *testing.T, detect Option) {
 				script := eqScript{objs: eqObjIDs[:], ops: ops}
-				if !eqMatch(t, script, WithTimeout(eqSyncTO), WithHistory(history)) {
+				if !eqMatch(t, script, WithTimeout(eqSyncTO), WithHistory(true), detect) {
 					t.Fatal("striped manager diverged from the reference")
 				}
 			})
-		}
+		})
 	}
 }
 

@@ -2,9 +2,13 @@
 //
 // Transactions acquire shared or exclusive locks on objects and, under
 // strict two-phase locking, hold them until they complete (paper §2).
-// Deadlocks are resolved by timeout, exactly as in the paper's Brahmā
-// implementation ("a lock timeout mechanism was used to handle deadlocks
-// and was set to one second throughout the experiments", §5).
+// By default deadlocks are resolved by timeout, exactly as in the paper's
+// Brahmā implementation ("a lock timeout mechanism was used to handle
+// deadlocks and was set to one second throughout the experiments", §5).
+// WithDeadlockDetection adds a waits-for check when a request queues:
+// when a cycle forms, the member whose timeout would have fired first
+// fails at once with ErrDeadlock, and the timeout remains the bound on
+// every wait.
 //
 // For the relaxed-2PL extension (paper §4.1) the manager also remembers,
 // per object, every *active* transaction that has ever locked it — even if
@@ -36,6 +40,12 @@ import (
 // timeoutErrorf wraps ErrTimeout with context.
 func timeoutErrorf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrTimeout}, args...)...)
+}
+
+// waitErrorf wraps sentinel (ErrTimeout or ErrDeadlock) with the request
+// that failed and the transactions it was waiting for.
+func waitErrorf(sentinel error, txn TxnID, mode Mode, o oid.OID, blockers []TxnID) error {
+	return fmt.Errorf("%w: txn %d, %s lock on %s, blocked by txns %v", sentinel, txn, mode, o, blockers)
 }
 
 // Mode is a lock mode.
@@ -75,7 +85,17 @@ var (
 	// ErrUnknownTxn reports an operation by a transaction that was never
 	// begun or has already finished.
 	ErrUnknownTxn = errors.New("lock: unknown transaction")
+	// ErrDeadlock reports a request on a waits-for cycle that was chosen
+	// as its victim. errors.Is(ErrDeadlock, ErrTimeout) holds, so
+	// every caller that aborts and retries a timed-out transaction
+	// handles a deadlock victim the same way.
+	ErrDeadlock error = deadlockError{}
 )
+
+type deadlockError struct{}
+
+func (deadlockError) Error() string        { return "lock: deadlock victim (waits-for cycle)" }
+func (deadlockError) Is(target error) bool { return target == ErrTimeout }
 
 // waiter is a queued lock request. Only a request that cannot be granted
 // at once builds one; an immediate grant allocates nothing.
@@ -83,7 +103,14 @@ type waiter struct {
 	txn     TxnID
 	mode    Mode
 	upgrade bool
-	granted chan struct{} // closed on grant
+	// deadline is when the request times out. Deadlock detection fails
+	// the member of a cycle with the earliest deadline: the request the
+	// timeout would have failed first.
+	deadline time.Time
+	granted  chan struct{} // closed on grant, or on failure as a deadlock victim
+	// err is nil for a grant and the ErrDeadlock error for a victim. It
+	// is written under the bucket mutex before granted is closed.
+	err error
 }
 
 // holder is one transaction's granted mode on an object.
@@ -172,7 +199,7 @@ func (ls *lockState) grantable(txn TxnID, mode Mode, upgrade bool) bool {
 // queue head). Its own shared lock is no conflict for an upgrade.
 func (ls *lockState) compatible(txn TxnID, mode Mode) bool {
 	for _, h := range ls.holders {
-		if h.txn != txn && (mode == Exclusive || h.mode == Exclusive) {
+		if h.txn != txn && conflicts(h.mode, mode) {
 			return false
 		}
 	}
@@ -200,6 +227,34 @@ func (ls *lockState) dequeue(w *waiter) {
 	}
 }
 
+// conflicts reports whether modes a and b cannot be held together.
+func conflicts(a, b Mode) bool { return a == Exclusive || b == Exclusive }
+
+// blockers appends to dst the transactions queued request w waits for:
+// the holders whose mode conflicts with w's and the conflicting waiters
+// queued ahead of it. A request no longer queued (granted, or given up)
+// waits for no one. Caller holds the bucket mutex guarding ls.
+func (ls *lockState) blockers(w *waiter, dst []TxnID) []TxnID {
+	i := slices.Index(ls.queue, w)
+	if i < 0 {
+		return dst
+	}
+	start := len(dst)
+	for _, h := range ls.holders {
+		if h.txn != w.txn && conflicts(h.mode, w.mode) {
+			dst = append(dst, h.txn)
+		}
+	}
+	named := dst[start:]
+	for _, q := range ls.queue[:i] {
+		// An upgrade ahead is by a holder, who may be named already.
+		if conflicts(q.mode, w.mode) && !(q.upgrade && slices.Contains(named, q.txn)) {
+			dst = append(dst, q.txn)
+		}
+	}
+	return dst
+}
+
 // reapable reports whether an empty lock head can be dropped.
 func (ls *lockState) reapable() bool {
 	return len(ls.holders) == 0 && len(ls.queue) == 0 && len(ls.ever) == 0
@@ -208,15 +263,17 @@ func (ls *lockState) reapable() bool {
 // Stats are cumulative lock-manager counters. The manager keeps them as
 // atomics so Stats snapshots never contend with the grant path.
 type Stats struct {
-	Acquired uint64 // locks granted
-	Waits    uint64 // requests that had to queue
-	Timeouts uint64 // requests that timed out (deadlock victims)
+	Acquired  uint64 // locks granted
+	Waits     uint64 // requests that queued, less those failed as victims at enqueue
+	Timeouts  uint64 // requests whose wait exceeded the timeout
+	Deadlocks uint64 // requests failed as deadlock victims (detection on)
 }
 
 // config collects option settings.
 type config struct {
 	timeout      time.Duration
 	trackHistory bool
+	detect       bool
 }
 
 // Option configures a Manager.
@@ -225,6 +282,15 @@ type Option func(*config)
 // WithTimeout sets the deadlock timeout.
 func WithTimeout(d time.Duration) Option {
 	return func(c *config) { c.timeout = d }
+}
+
+// WithDeadlockDetection enables the waits-for check at enqueue: when a
+// request that must queue closes a cycle of waiting transactions, the
+// request on the cycle with the earliest deadline fails at once with
+// ErrDeadlock instead of waiting out its timeout. Off, as in the paper,
+// only the timeout resolves deadlocks.
+func WithDeadlockDetection(on bool) Option {
+	return func(c *config) { c.detect = on }
 }
 
 // WithHistory enables ever-locked tracking (needed only when transactions

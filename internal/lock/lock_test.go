@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -288,32 +289,39 @@ func TestWaitEverLockersTimeout(t *testing.T) {
 // read-modify-write cycles from many goroutines; any mutual-exclusion bug
 // loses increments.
 func TestNoLostUpdatesUnderX(t *testing.T) {
-	m := NewManager(WithTimeout(10 * time.Second))
-	var counter int64
-	var next atomic.Uint64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				txn := TxnID(next.Add(1))
-				m.Begin(txn)
-				if err := m.Lock(txn, testOID, Exclusive); err != nil {
-					t.Errorf("lock: %v", err)
-					m.Finish(txn)
-					return
-				}
-				c := atomic.LoadInt64(&counter)
-				time.Sleep(time.Microsecond)
-				atomic.StoreInt64(&counter, c+1)
-				m.Finish(txn)
+	for _, detect := range []bool{false, true} {
+		t.Run(fmt.Sprintf("detect=%v", detect), func(t *testing.T) {
+			m := NewManager(WithTimeout(10*time.Second), WithDeadlockDetection(detect))
+			var counter int64
+			var next atomic.Uint64
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						txn := TxnID(next.Add(1))
+						m.Begin(txn)
+						if err := m.Lock(txn, testOID, Exclusive); err != nil {
+							t.Errorf("lock: %v", err)
+							m.Finish(txn)
+							return
+						}
+						c := atomic.LoadInt64(&counter)
+						time.Sleep(time.Microsecond)
+						atomic.StoreInt64(&counter, c+1)
+						m.Finish(txn)
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	if counter != 1600 {
-		t.Fatalf("counter = %d, want 1600", counter)
+			wg.Wait()
+			if counter != 1600 {
+				t.Fatalf("counter = %d, want 1600", counter)
+			}
+			if st := m.Stats(); st.Deadlocks != 0 {
+				t.Fatalf("stats %+v: deadlock victims on a single object", st)
+			}
+		})
 	}
 }
 
@@ -412,10 +420,15 @@ func TestActiveTxns(t *testing.T) {
 	}
 }
 
-// sameBucketOID returns an object other than o whose lock head lives in
-// o's bucket.
+// sameBucketOID returns an object of partition 2, page 1 whose lock head
+// lives in o's bucket. Its slot is past o's if o is on that page too, so
+// chained calls return distinct objects.
 func sameBucketOID(o oid.OID) oid.OID {
-	for slot := oid.SlotNum(0); ; slot++ {
+	slot := oid.SlotNum(0)
+	if o.Partition() == 2 && o.Page() == 1 {
+		slot = o.Slot() + 1
+	}
+	for ; ; slot++ {
 		c := oid.New(2, 1, slot)
 		if bucketIndex(c) == bucketIndex(o) {
 			return c

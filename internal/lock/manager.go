@@ -27,16 +27,31 @@ import (
 // them. Finish releases its locks one bucket at a time in ascending
 // bucket order, holding a single bucket mutex at any instant, so the
 // split cannot deadlock.
+//
+// With deadlock detection on, dlMu is taken first, and only by a request
+// that has just queued:
+//
+//	dlMu → bucket.mu → txnBucket.mu / txnState.mu
+//
+// The waits-for walk under it locks one bucket at a time, like Finish.
 type Manager struct {
 	timeout      time.Duration
 	trackHistory bool
+	detect       bool
 
 	buckets    [DefaultStripes]bucket
 	txnBuckets [DefaultStripes]txnBucket
 
-	acquired atomic.Uint64
-	waits    atomic.Uint64
-	timeouts atomic.Uint64
+	// dlMu serializes waits-for walks, so a cycle is found by exactly
+	// one walk, that of the last of its requests to queue, and loses
+	// exactly one request. It also guards every txnState's wait and
+	// waitObj.
+	dlMu sync.Mutex
+
+	acquired  atomic.Uint64
+	waits     atomic.Uint64
+	timeouts  atomic.Uint64
+	deadlocks atomic.Uint64
 }
 
 // bucket owns a slice of the lock table. Padded to a cache line so
@@ -108,6 +123,11 @@ type txnState struct {
 	// finishing serializes duplicate Finish calls: the loser observes the
 	// transaction as already gone.
 	finishing atomic.Bool
+	// wait is the transaction's latest queued request, on waitObj; the
+	// waits-for walk follows it while it is still in waitObj's queue.
+	// Guarded by the manager's dlMu; set only under deadlock detection.
+	wait    *waiter
+	waitObj oid.OID
 }
 
 // lookup returns the mode recorded for o. Caller holds ts.mu.
@@ -185,7 +205,7 @@ func NewManager(opts ...Option) *Manager {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	m := &Manager{timeout: cfg.timeout, trackHistory: cfg.trackHistory}
+	m := &Manager{timeout: cfg.timeout, trackHistory: cfg.trackHistory, detect: cfg.detect}
 	for i := range m.buckets {
 		m.buckets[i].locks = make(map[oid.OID]*lockState)
 	}
@@ -346,9 +366,10 @@ func (m *Manager) HeldLocks(txn TxnID) []oid.OID {
 // Stats returns a copy of the cumulative counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Acquired: m.acquired.Load(),
-		Waits:    m.waits.Load(),
-		Timeouts: m.timeouts.Load(),
+		Acquired:  m.acquired.Load(),
+		Waits:     m.waits.Load(),
+		Timeouts:  m.timeouts.Load(),
+		Deadlocks: m.deadlocks.Load(),
 	}
 }
 
@@ -378,30 +399,159 @@ func (m *Manager) acquire(txn TxnID, o oid.OID, mode Mode, timeout time.Duration
 		b.mu.Unlock()
 		return nil
 	}
-	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, granted: make(chan struct{})}
+	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, deadline: time.Now().Add(timeout), granted: make(chan struct{})}
 	ls.enqueue(w)
-	m.waits.Add(1)
 	b.mu.Unlock()
+	if m.detect {
+		if err := m.breakCycles(ts, o, w); err != nil {
+			return err
+		}
+	}
+	m.waits.Add(1)
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case <-w.granted:
-		return nil
+		return w.err
 	case <-timer.C:
 	}
-	// Timed out — but a grant may have raced the timer.
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	select {
 	case <-w.granted:
-		return nil
+		return w.err // granted, or failed as a deadlock victim, as the timer fired
 	default:
 	}
-	ls.dequeue(w)
-	m.maybeReap(b, o, ls)
+	// w is still queued, unless its transaction was finished meanwhile (a
+	// caller-contract violation); ls is then possibly stale (see
+	// maybeReap) and is left alone.
+	blockers := ls.blockers(w, nil)
+	if slices.Contains(ls.queue, w) {
+		m.withdraw(b, ls, o, w)
+	}
 	m.timeouts.Add(1)
-	return timeoutErrorf("txn %d, %s lock on %s", txn, mode, o)
+	return waitErrorf(ErrTimeout, txn, mode, o, blockers)
+}
+
+// withdraw takes queued request w off o's queue and grants the waiters
+// its leaving unblocks. Caller holds b's mutex.
+func (m *Manager) withdraw(b *bucket, ls *lockState, o oid.OID, w *waiter) {
+	ls.dequeue(w)
+	m.grantQueued(ls, o)
+	m.maybeReap(b, o, ls)
+}
+
+// breakCycles records ts's request w on o, which has just queued, as the
+// transaction's wait, and fails one request of every waits-for cycle it
+// closed: the member with the earliest deadline, the one the timeout
+// would have failed first. It returns w's error if w was that member.
+func (m *Manager) breakCycles(ts *txnState, o oid.OID, w *waiter) error {
+	m.dlMu.Lock()
+	defer m.dlMu.Unlock()
+	ts.wait, ts.waitObj = w, o
+	for {
+		vo, v := m.cycleVictim(o, w)
+		if v == nil {
+			return nil
+		}
+		// A victim granted since the walk read it is no victim; the
+		// cycle is gone, and the next walk shows what is left.
+		if err := m.fail(vo, v); err != nil && v == w {
+			return err
+		}
+	}
+}
+
+// cycleVictim walks the waits-for graph from request w on o. If the
+// walk leads back to w's transaction, it returns, of the requests on
+// some cycle through it, the one with the earliest deadline and the
+// object that request waits for. An edge runs from each queued
+// request's transaction to its blockers; a transaction's out-edges are
+// those of its latest request, and none once that request has left its
+// queue. The walk locks one bucket at a time. Caller holds dlMu.
+func (m *Manager) cycleVictim(o oid.OID, w *waiter) (oid.OID, *waiter) {
+	// nodes[0] is w's transaction; the others are added as the walk
+	// reaches them. out holds the indexes of a node's blockers.
+	type node struct {
+		txn TxnID
+		o   oid.OID
+		w   *waiter // nil for a transaction that is not waiting
+		out []int
+	}
+	nodes := []node{{txn: w.txn, o: o, w: w}}
+	var ids [16]TxnID
+	for i := 0; i < len(nodes); i++ {
+		if i > 0 {
+			if ts, ok := m.lookupTxn(nodes[i].txn); ok && ts.wait != nil {
+				nodes[i].o, nodes[i].w = ts.waitObj, ts.wait
+			}
+		}
+		if nodes[i].w == nil {
+			continue
+		}
+		for _, t := range m.appendBlockers(ids[:0], nodes[i].o, nodes[i].w) {
+			j := slices.IndexFunc(nodes, func(n node) bool { return n.txn == t })
+			if j < 0 {
+				j = len(nodes)
+				nodes = append(nodes, node{txn: t})
+			}
+			nodes[i].out = append(nodes[i].out, j)
+		}
+	}
+	// onCycle[i]: node i leads back to node 0, so with the walk from
+	// node 0 to it, it is on a cycle through w's transaction.
+	onCycle := make([]bool, len(nodes))
+	for changed := true; changed; {
+		changed = false
+		for i := range nodes {
+			if !onCycle[i] && slices.ContainsFunc(nodes[i].out, func(j int) bool { return j == 0 || onCycle[j] }) {
+				onCycle[i], changed = true, true
+			}
+		}
+	}
+	if !onCycle[0] {
+		return oid.Nil, nil
+	}
+	v := 0
+	for i := range nodes {
+		if onCycle[i] && nodes[i].w.deadline.Before(nodes[v].w.deadline) {
+			v = i
+		}
+	}
+	return nodes[v].o, nodes[v].w
+}
+
+// appendBlockers appends the blockers of request w on o to dst, under
+// o's bucket mutex alone.
+func (m *Manager) appendBlockers(dst []TxnID, o oid.OID, w *waiter) []TxnID {
+	b := m.bucket(o)
+	b.mu.Lock()
+	if ls := b.locks[o]; ls != nil {
+		dst = ls.blockers(w, dst)
+	}
+	b.mu.Unlock()
+	return dst
+}
+
+// fail fails request v on o as a deadlock victim, if it is still queued:
+// it leaves the queue, the waiters behind it that it was blocking are
+// granted, and its Lock call returns the ErrDeadlock error fail returns.
+// A request no longer queued is left alone and fail returns nil. Caller
+// holds dlMu.
+func (m *Manager) fail(o oid.OID, v *waiter) error {
+	b := m.bucket(o)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ls := b.locks[o]
+	if ls == nil || !slices.Contains(ls.queue, v) {
+		return nil
+	}
+	v.err = waitErrorf(ErrDeadlock, v.txn, v.mode, o, ls.blockers(v, nil))
+	m.withdraw(b, ls, o, v)
+	close(v.granted)
+	m.deadlocks.Add(1)
+	return v.err
 }
 
 // Unlock releases txn's lock on o before transaction end (short-duration

@@ -19,6 +19,7 @@ import (
 type reference struct {
 	timeout      time.Duration
 	trackHistory bool
+	detect       bool
 
 	mu    sync.Mutex
 	locks map[oid.OID]*refHead
@@ -32,12 +33,16 @@ type refTxnState struct {
 	held       map[oid.OID]Mode
 	everLocked map[oid.OID]struct{}
 	done       chan struct{} // closed when the transaction finishes
+	// wait is the transaction's latest queued request, on waitObj.
+	wait    *waiter
+	waitObj oid.OID
 }
 
 func newReference(cfg config) *reference {
 	return &reference{
 		timeout:      cfg.timeout,
 		trackHistory: cfg.trackHistory,
+		detect:       cfg.detect,
 		locks:        make(map[oid.OID]*refHead),
 		txns:         make(map[TxnID]*refTxnState),
 	}
@@ -143,7 +148,7 @@ func (m *reference) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Du
 		return nil
 	}
 	upgrade := holding // held == Shared, mode == Exclusive
-	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, granted: make(chan struct{})}
+	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, deadline: time.Now().Add(timeout), granted: make(chan struct{})}
 	if ls.grantable(w) {
 		m.grant(ls, w, ts, o)
 		m.stats.Acquired++
@@ -151,6 +156,20 @@ func (m *reference) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Du
 		return nil
 	}
 	ls.enqueue(w)
+	if m.detect {
+		ts.wait, ts.waitObj = w, o
+		for {
+			v, vo := m.cycleVictim(w, o)
+			if v == nil {
+				break
+			}
+			m.fail(v, vo)
+			if v == w {
+				m.mu.Unlock()
+				return w.err
+			}
+		}
+	}
 	m.stats.Waits++
 	m.mu.Unlock()
 
@@ -158,21 +177,98 @@ func (m *reference) LockTimeout(txn TxnID, o oid.OID, mode Mode, timeout time.Du
 	defer timer.Stop()
 	select {
 	case <-w.granted:
-		return nil
+		return w.err
 	case <-timer.C:
 	}
-	// Timed out — but a grant may have raced the timer.
+	// Timed out — but a grant, or a failure as a deadlock victim, may
+	// have raced the timer.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	select {
 	case <-w.granted:
-		return nil
+		return w.err
 	default:
 	}
-	ls.dequeue(w)
-	m.maybeReap(o, ls)
+	blockers := ls.blockers(w)
+	m.withdraw(ls, o, w)
 	m.stats.Timeouts++
-	return timeoutErrorf("txn %d, %s lock on %s", txn, mode, o)
+	return waitErrorf(ErrTimeout, txn, mode, o, blockers)
+}
+
+// cycleVictim returns, if the waits-for graph leads from request w on o
+// back to w's transaction, the request with the earliest deadline among
+// those on a cycle through it, and its object. It computes the set of
+// transactions reachable from w's and keeps those that reach back.
+// Caller holds m.mu.
+func (m *reference) cycleVictim(w *waiter, o oid.OID) (*waiter, oid.OID) {
+	type req struct {
+		w *waiter
+		o oid.OID
+	}
+	reqs := map[TxnID]req{w.txn: {w, o}}
+	edges := map[TxnID][]TxnID{}
+	var visit func(t TxnID)
+	visit = func(t TxnID) {
+		r := reqs[t]
+		ls, ok := m.locks[r.o]
+		if !ok {
+			return
+		}
+		for _, b := range ls.blockers(r.w) {
+			edges[t] = append(edges[t], b)
+			if _, seen := reqs[b]; seen {
+				continue
+			}
+			reqs[b] = req{}
+			if ts, ok := m.txns[b]; ok && ts.wait != nil {
+				reqs[b] = req{ts.wait, ts.waitObj}
+				visit(b)
+			}
+		}
+	}
+	visit(w.txn)
+	back := map[TxnID]bool{}
+	for changed := true; changed; {
+		changed = false
+		for t, bs := range edges {
+			for _, b := range bs {
+				if !back[t] && (b == w.txn || back[b]) {
+					back[t], changed = true, true
+				}
+			}
+		}
+	}
+	if !back[w.txn] {
+		return nil, oid.Nil
+	}
+	v := reqs[w.txn]
+	for t := range back {
+		if r := reqs[t]; r.w.deadline.Before(v.w.deadline) {
+			v = r
+		}
+	}
+	return v.w, v.o
+}
+
+// fail fails queued request v on o as a deadlock victim. Caller holds
+// m.mu.
+func (m *reference) fail(v *waiter, o oid.OID) {
+	ls := m.locks[o]
+	v.err = waitErrorf(ErrDeadlock, v.txn, v.mode, o, ls.blockers(v))
+	m.withdraw(ls, o, v)
+	close(v.granted)
+	m.stats.Deadlocks++
+}
+
+// withdraw takes w off o's queue and grants the waiters behind it that
+// its leaving unblocks. Caller holds m.mu.
+func (m *reference) withdraw(ls *refHead, o oid.OID, w *waiter) {
+	if m.locks[o] != ls {
+		return // a reaped head; w is in no queue
+	}
+	ls.dequeue(w)
+	m.grantQueued(ls, o)
+	m.maybeReap(o, ls)
 }
 
 func (m *reference) Unlock(txn TxnID, o oid.OID) error {
@@ -236,7 +332,13 @@ func (m *reference) releaseLocked(txn TxnID, o oid.OID) {
 	delete(ls.holders, txn)
 	ts := m.txns[txn]
 	delete(ts.held, o)
-	// Grant from the head of the queue while compatible.
+	m.grantQueued(ls, o)
+	m.maybeReap(o, ls)
+}
+
+// grantQueued grants waiters from the head of o's queue while they are
+// compatible. Caller holds m.mu.
+func (m *reference) grantQueued(ls *refHead, o oid.OID) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
 		if !ls.compatible(w) {
@@ -254,7 +356,6 @@ func (m *reference) releaseLocked(txn TxnID, o oid.OID) {
 		m.grant(ls, w, wts, o)
 		m.stats.Acquired++
 	}
-	m.maybeReap(o, ls)
 }
 
 // maybeReap drops an empty lock head, unless o has since been given a
@@ -341,6 +442,29 @@ func (ls *refHead) dequeue(w *waiter) {
 			return
 		}
 	}
+}
+
+// blockers lists the transactions queued request w waits for: holders
+// and waiters ahead of it whose modes conflict with its own. A request
+// no longer queued waits for no one.
+func (ls *refHead) blockers(w *waiter) []TxnID {
+	var out []TxnID
+	for i, q := range ls.queue {
+		if q != w {
+			continue
+		}
+		for t, mode := range ls.holders {
+			if t != w.txn && (mode == Exclusive || w.mode == Exclusive) {
+				out = append(out, t)
+			}
+		}
+		for _, a := range ls.queue[:i] {
+			if a.mode == Exclusive || w.mode == Exclusive {
+				out = append(out, a.txn)
+			}
+		}
+	}
+	return out
 }
 
 // reapable reports whether an empty lock head can be dropped.

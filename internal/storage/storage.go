@@ -36,6 +36,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,27 @@ type Store struct {
 
 	mu    sync.RWMutex
 	parts map[oid.PartitionID]*partition
+
+	// resvPages lists the pages each transaction holds space
+	// reservations on (see partition.resv), for ReleaseReservations;
+	// resvTxns counts its entries so a transaction that reserved nothing
+	// ends without taking resvMu. resvMu is a leaf, taken under a
+	// partition's mu.
+	resvMu    sync.Mutex
+	resvPages map[wal.TxnID][]pageRef
+	resvTxns  atomic.Int64
+}
+
+// pageRef names a page of a partition.
+type pageRef struct {
+	part oid.PartitionID
+	pn   int
+}
+
+// reservation is space on a page kept free for one transaction.
+type reservation struct {
+	txn   wal.TxnID
+	bytes int
 }
 
 // partition holds the pages of one partition. pages[0] is always nil so
@@ -125,6 +147,13 @@ type partition struct {
 	// advances it past all existing pages so that migrated copies never
 	// reoccupy addresses that stale references might still carry.
 	denseFloor int
+
+	// resv holds, per page, the bytes that transactions' logged shrinks
+	// and frees released there and that stay reserved for them until
+	// they end, so the same transaction's regrow or rollback still fits
+	// (ARIES space reservation). Allocations and other transactions'
+	// growth leave them free. Guarded by mu (W).
+	resv map[int][]reservation
 
 	// Disk-backed mode only; same length as pages.
 	present []bool   // page logically exists (may be on disk only)
@@ -397,8 +426,10 @@ func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 				return oid.Nil, ferr
 			}
 			if pg != nil {
-				if slot, ok := s.tryInsert(c, p, last, pg, data); ok {
-					return finish(last, pg, slot)
+				if pg.FreeSpace()-p.reserved(last, 0) >= len(data) {
+					if slot, ok := s.tryInsert(c, p, last, pg, data); ok {
+						return finish(last, pg, slot)
+					}
 				}
 				s.releasePage(p, last)
 			}
@@ -417,7 +448,7 @@ func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 			if pg == nil {
 				continue
 			}
-			if pg.FreeSpace() < len(data)+reserve {
+			if pg.FreeSpace() < len(data)+reserve+p.reserved(pn, 0) {
 				s.releasePage(p, pn)
 				continue
 			}
@@ -493,11 +524,11 @@ func (s *Store) SealDense(part oid.PartitionID) error {
 func (s *Store) Apply(r *wal.Record, logFn func() (wal.LSN, error)) error {
 	switch r.Type {
 	case wal.RecCreate, wal.RecPhysAlloc:
-		return s.allocateAt(r.OID, r.After, logFn)
+		return s.allocateAt(r.OID, r.After, r.Txn, logFn)
 	case wal.RecDelete, wal.RecPhysFree:
-		return s.rewriteSlot(r.OID, nil, true, logFn)
+		return s.rewriteSlot(r.OID, nil, true, r.Txn, logFn)
 	case wal.RecUpdate, wal.RecRefInsert, wal.RecRefDelete, wal.RecRefUpdate:
-		return s.rewriteSlot(r.OID, r.After, false, logFn)
+		return s.rewriteSlot(r.OID, r.After, false, r.Txn, logFn)
 	}
 	_, err := logged(logFn)
 	return err
@@ -512,8 +543,10 @@ func logged(logFn func() (wal.LSN, error)) (wal.LSN, error) {
 }
 
 // rewriteSlot updates the live object at o to data in place, or frees
-// it when free is set (see Apply).
-func (s *Store) rewriteSlot(o oid.OID, data []byte, free bool, logFn func() (wal.LSN, error)) error {
+// it when free is set (see Apply). A logged rewrite by txn that shrinks
+// or frees the object reserves the released bytes for txn; one that
+// grows it may use txn's own reservation on the page but not others'.
+func (s *Store) rewriteSlot(o oid.OID, data []byte, free bool, txn wal.TxnID, logFn func() (wal.LSN, error)) error {
 	p, err := s.part(o.Partition())
 	if err != nil {
 		return err
@@ -536,8 +569,21 @@ func (s *Store) rewriteSlot(o oid.OID, data []byte, free bool, logFn func() (wal
 	// An update that cannot fit is refused before it is logged: a
 	// logged record without its effect would fail its own redo at
 	// restart, and the analyzer would already have counted its edges.
-	if !free && !pg.Fits(slot, len(data)) {
-		return ErrWontFit
+	cell, _ := pg.Get(slot)
+	grow := len(data) - len(cell)
+	if free {
+		grow = -len(cell)
+	}
+	// Recovery applies unlogged and neither makes nor honors reservations.
+	reserve := logFn != nil && txn != 0
+	if grow > 0 {
+		others := 0
+		if reserve {
+			others = p.reserved(pn, txn)
+		}
+		if !pg.Fits(slot, len(data)+others) {
+			return ErrWontFit
+		}
 	}
 	lsn, err := logged(logFn)
 	if err != nil {
@@ -554,15 +600,93 @@ func (s *Store) rewriteSlot(o oid.OID, data []byte, free bool, logFn func() (wal
 	} else if err = pg.Delete(slot); err == nil {
 		liveDelta = -1
 	}
+	if err == nil && reserve && grow != 0 {
+		s.noteResize(p, pn, txn, grow)
+	}
 	p.nLive += liveDelta
 	s.noteMutation(c, o.Partition(), pg, db0, ds0, liveDelta, 0)
 	s.notePageDirty(p, pn, lsn)
 	return err
 }
 
+// reserved returns the bytes reserved on page pn for transactions other
+// than txn; txn 0 counts every reservation. Caller holds p.mu.
+func (p *partition) reserved(pn int, txn wal.TxnID) int {
+	n := 0
+	for _, r := range p.resv[pn] {
+		if r.txn != txn {
+			n += r.bytes
+		}
+	}
+	return n
+}
+
+// noteResize records that txn's logged mutation changed its cells on
+// page pn by grow bytes: a shrink or free reserves the released bytes
+// for txn, and a growth uses up txn's reservation there first. Caller
+// holds p.mu (W).
+func (s *Store) noteResize(p *partition, pn int, txn wal.TxnID, grow int) {
+	rs := p.resv[pn]
+	i := slices.IndexFunc(rs, func(r reservation) bool { return r.txn == txn })
+	if grow > 0 {
+		if i >= 0 {
+			rs[i].bytes -= min(grow, rs[i].bytes)
+		}
+		return
+	}
+	if i >= 0 {
+		rs[i].bytes -= grow
+		return
+	}
+	if p.resv == nil {
+		p.resv = make(map[int][]reservation)
+	}
+	p.resv[pn] = append(rs, reservation{txn, -grow})
+	s.resvMu.Lock()
+	if s.resvPages == nil {
+		s.resvPages = make(map[wal.TxnID][]pageRef)
+	}
+	if len(s.resvPages[txn]) == 0 {
+		s.resvTxns.Add(1)
+	}
+	s.resvPages[txn] = append(s.resvPages[txn], pageRef{p.id, pn})
+	s.resvMu.Unlock()
+}
+
+// ReleaseReservations drops the space reservations txn's shrinks and
+// frees made; the transaction layer calls it when txn ends, committed
+// or rolled back.
+func (s *Store) ReleaseReservations(txn wal.TxnID) {
+	if s.resvTxns.Load() == 0 {
+		return
+	}
+	s.resvMu.Lock()
+	refs, ok := s.resvPages[txn]
+	if ok {
+		delete(s.resvPages, txn)
+		s.resvTxns.Add(-1)
+	}
+	s.resvMu.Unlock()
+	for _, ref := range refs {
+		p, err := s.part(ref.part)
+		if err != nil {
+			continue // dropped with its reservations
+		}
+		p.mu.Lock()
+		rs := slices.DeleteFunc(p.resv[ref.pn], func(r reservation) bool { return r.txn == txn })
+		if len(rs) == 0 {
+			delete(p.resv, ref.pn)
+		} else {
+			p.resv[ref.pn] = rs
+		}
+		p.mu.Unlock()
+	}
+}
+
 // allocateAt installs data at the exact address o (see Apply), extending
-// the page table and reviving trimmed pages as needed.
-func (s *Store) allocateAt(o oid.OID, data []byte, logFn func() (wal.LSN, error)) error {
+// the page table and reviving trimmed pages as needed. A logged create by
+// txn (the rollback of its free) uses up txn's reservation on the page.
+func (s *Store) allocateAt(o oid.OID, data []byte, txn wal.TxnID, logFn func() (wal.LSN, error)) error {
 	if len(data) > s.maxCell() {
 		return fmt.Errorf("%w: %d bytes", ErrObjectTooLarge, len(data))
 	}
@@ -614,6 +738,9 @@ func (s *Store) allocateAt(o oid.OID, data []byte, logFn func() (wal.LSN, error)
 		err = pg.Update(slot, data)
 	} else if err = pg.InsertAt(slot, data); err == nil {
 		liveDelta = 1
+		if logFn != nil && txn != 0 {
+			s.noteResize(p, pn, txn, len(data))
+		}
 	}
 	p.nLive += liveDelta
 	s.noteMutation(c, o.Partition(), pg, db0, ds0, liveDelta, pagesAdded)
