@@ -9,7 +9,6 @@
 //	reorgbench -bench lockscale         # MPL × fleet-worker and group-commit sweeps → BENCH_lock.json
 //	reorgbench -bench torture           # crash-recovery torture sweep → BENCH_torture.json
 //	reorgbench -bench interference      # 100ms-window reorg-on/off series → BENCH_interference.json
-//	reorgbench -bench autopilot         # closed-loop churn→detect→repair run → BENCH_autopilot.json
 //	reorgbench -bench bufferpool        # scan fault rate before/after clustering → BENCH_bufferpool.json
 //	reorgbench -bench netload           # wire-protocol client/server series → BENCH_netload.json
 //	reorgbench -bench queryscan         # operator-pipeline traversal vs clustering + scan interference → BENCH_queryscan.json
@@ -29,7 +28,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/autopilot"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -79,7 +77,7 @@ func main() {
 		list     = flag.Bool("list", false, "list available experiments")
 		seed     = flag.Int64("seed", 1, "workload random seed")
 		verbose  = flag.Bool("v", false, "print per-experiment timing")
-		bench    = flag.String("bench", "", "benchmark id: lockscale, torture, interference, autopilot, bufferpool, netload, queryscan, oidmode")
+		bench    = flag.String("bench", "", "benchmark id: lockscale, torture, interference, bufferpool, netload, queryscan, oidmode")
 		benchout = flag.String("benchout", "", "JSON report path for -bench (default BENCH_<id>.json)")
 		mode     = flag.String("mode", "both", "execution mode for -bench trajectories: fidelity, hardware, or both")
 		httpAddr = flag.String("http", "", "serve expvar + pprof on this address (e.g. :6060)")
@@ -89,7 +87,6 @@ func main() {
 		*scale = "quick"
 	}
 	if *httpAddr != "" {
-		autopilot.PublishExpvar()
 		obs.ServeDebug(*httpAddr)
 	}
 
@@ -160,20 +157,6 @@ func main() {
 			if *verbose {
 				fmt.Printf("-- interference completed in %s\n", time.Since(start).Round(time.Millisecond))
 			}
-		case "autopilot":
-			out := *benchout
-			if out == "" {
-				out = "BENCH_autopilot.json"
-			}
-			fmt.Printf("== autopilot — closed-loop churn→detect→repair run (scale: %s) ==\n", sc.Name)
-			start := time.Now()
-			if err := harness.RunAutopilot(os.Stdout, sc, out); err != nil {
-				fmt.Fprintf(os.Stderr, "benchmark autopilot failed: %v\n", err)
-				os.Exit(1)
-			}
-			if *verbose {
-				fmt.Printf("-- autopilot completed in %s\n", time.Since(start).Round(time.Millisecond))
-			}
 		case "bufferpool":
 			out := *benchout
 			if out == "" {
@@ -238,7 +221,7 @@ func main() {
 				fmt.Printf("-- oidmode completed in %s\n", time.Since(start).Round(time.Millisecond))
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q (lockscale, torture, interference, autopilot, bufferpool, netload, queryscan, oidmode)\n", *bench)
+			fmt.Fprintf(os.Stderr, "unknown benchmark %q (lockscale, torture, interference, bufferpool, netload, queryscan, oidmode)\n", *bench)
 			os.Exit(2)
 		}
 		return

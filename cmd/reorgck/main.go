@@ -30,15 +30,6 @@
 //	reorgck -torture -seeds 64
 //	reorgck -torture -seeds 1 -seedbase 83 -points reorg/twolock-parents-done
 //
-// With -autopilot it runs the closed-loop correctness mode: every data
-// partition is scattered by a shuffle pass, then the autopilot's policy
-// engine must find and repair them under concurrent load, after which
-// full consistency, graph preservation, and exactness of the statistics
-// counters against a fresh scan are verified:
-//
-//	reorgck -autopilot
-//	reorgck -autopilot -policy round-robin -passes 8
-//
 // With -serve it builds the workload fixture and serves it over the
 // wire protocol until interrupted, draining gracefully on SIGINT:
 //
@@ -56,7 +47,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
@@ -67,7 +57,6 @@ import (
 
 	"flag"
 
-	"repro/internal/autopilot"
 	"repro/internal/check"
 	"repro/internal/db"
 	"repro/internal/harness"
@@ -97,9 +86,6 @@ func main() {
 		seeds      = flag.Int("seeds", 24, "torture: number of seeded runs")
 		seedbase   = flag.Int64("seedbase", 0, "torture: first seed")
 		points     = flag.String("points", "", "torture: comma-separated crash points to rotate through (default: the full taxonomy)")
-		autopilotF = flag.Bool("autopilot", false, "run the autopilot closed-loop correctness mode instead of the stress check")
-		policyName = flag.String("policy", "greedy", "autopilot: partition-selection policy (greedy, round-robin, threshold)")
-		passes     = flag.Int("passes", 0, "autopilot: passes to run (default: one per data partition)")
 		serveAddr  = flag.String("serve", "", "serve the workload fixture over the wire protocol on this address (e.g. :7070)")
 		netchaos   = flag.Bool("netchaos", false, "run the socket-chaos cell instead of the stress check")
 		chaosDur   = flag.Duration("chaosdur", 0, "netchaos: chaos phase duration (default 2s)")
@@ -114,11 +100,10 @@ func main() {
 		}
 		// Every construction path (workload defaults, db.Open) consults
 		// $REORG_MODE, so exporting the parsed flag applies the mode to
-		// the stress, torture, and autopilot runs alike.
+		// the stress and torture runs alike.
 		os.Setenv("REORG_MODE", string(execMode))
 	}
 	if *httpAddr != "" {
-		autopilot.PublishExpvar()
 		obs.ServeDebug(*httpAddr)
 	}
 
@@ -130,9 +115,6 @@ func main() {
 	}
 	if *serveAddr != "" {
 		os.Exit(runServe(*serveAddr, *partitions, *objects, *seed))
-	}
-	if *autopilotF {
-		os.Exit(runAutopilot(*partitions, *objects, *mpl, *batch, *passes, *seed, *policyName))
 	}
 
 	var mode reorg.Mode
@@ -406,122 +388,6 @@ func runNetChaos(seed int64, mpl int, dur time.Duration) int {
 	}
 	fmt.Printf("netchaos: OK — committed prefix exact, graph preserved, no leaks (%d commits under %d firings)\n",
 		res.Commits, res.Firings)
-	return 0
-}
-
-// runAutopilot is the closed-loop correctness mode: scatter every data
-// partition with a quiescent shuffle pass, then let the autopilot's
-// policy engine find and repair them while the workload runs, and verify
-// consistency, graph preservation, and counter exactness afterwards.
-// Returns the process exit code.
-func runAutopilot(partitions, objects, mpl, batch, passes int, seed int64, policyName string) int {
-	policy, err := autopilot.ParsePolicy(policyName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	params := workload.DefaultParams()
-	params.NumPartitions = partitions
-	params.ObjectsPerPartition = objects
-	params.MPL = mpl
-	params.Seed = seed
-
-	fmt.Printf("building %d partitions × %d objects...\n", partitions, objects)
-	w, err := workload.Build(db.DefaultConfig(), params)
-	if err != nil {
-		fatal(err)
-	}
-	defer w.DB.Close()
-	sigBefore, err := check.Signature(w.DB, w.Roots())
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("reachable graph: %d objects\n", len(sigBefore))
-
-	var parts []oid.PartitionID
-	for p := 1; p <= partitions; p++ {
-		parts = append(parts, oid.PartitionID(p))
-	}
-	ap, err := autopilot.New(w.DB, autopilot.Config{
-		Partitions: parts,
-		Policy:     policy,
-		MaxPerPass: 1,
-		Seed:       uint64(seed),
-		// No workload baseline is installed, so the pacer degrades to a
-		// fixed-pace token bucket — the graceful-degradation path.
-		Pacer: autopilot.PacerConfig{InitialRate: 400, MinRate: 400, MaxRate: 400},
-		Reorg: reorg.Options{BatchSize: batch},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	restore := autopilot.Install(ap)
-	defer restore()
-
-	// Scatter every data partition before the workload starts: a
-	// same-partition first-fit pass in shuffled order decorrelates page
-	// placement from the reference graph.
-	for _, part := range parts {
-		r := reorg.New(w.DB, part, reorg.Options{
-			Mode: reorg.ModeOffline,
-			Plan: &reorg.Plan{Target: func(oid.OID) oid.PartitionID { return part }},
-			MigrationOrder: func(objs []oid.OID) []oid.OID {
-				rng := rand.New(rand.NewSource(seed + int64(part)))
-				rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
-				return objs
-			},
-		})
-		if err := r.Run(); err != nil {
-			fatal(fmt.Errorf("churn partition %d: %w", part, err))
-		}
-	}
-	fmt.Printf("churned %d partitions\n", len(parts))
-
-	rec := metrics.NewRecorder()
-	driver := workload.NewDriver(w, rec)
-	rec.StartWindow()
-	driver.Start()
-
-	if passes <= 0 {
-		passes = partitions
-	}
-	for pass := 1; pass <= passes; pass++ {
-		rep, err := ap.RunPass()
-		if err != nil {
-			driver.Stop()
-			fatal(fmt.Errorf("pass %d: %w", pass, err))
-		}
-		fmt.Printf("pass %d (%s): selected %v, migrated %d objects, %d retries in %s\n",
-			pass, policy, rep.Selected, rep.Migrated, rep.Retries, rep.Duration.Round(1e6))
-	}
-	sum := rec.Stop()
-	driver.Stop()
-	fmt.Printf("workload during autopilot: %s\n", sum)
-
-	rep, err := check.Verify(w.DB, w.Roots())
-	if err != nil {
-		fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		fatal(fmt.Errorf("CONSISTENCY VIOLATION: %w", err))
-	}
-	sigAfter, err := check.Signature(w.DB, w.Roots())
-	if err != nil {
-		fatal(err)
-	}
-	if len(sigAfter) != len(sigBefore) {
-		fatal(fmt.Errorf("reachable set changed: %d -> %d objects", len(sigBefore), len(sigAfter)))
-	}
-	for k := range sigBefore {
-		if _, ok := sigAfter[k]; !ok {
-			fatal(fmt.Errorf("object %q lost", k))
-		}
-	}
-	if err := ap.VerifyCounters(); err != nil {
-		fatal(fmt.Errorf("COUNTER DRIFT: %w", err))
-	}
-	fmt.Printf("OK: %d objects, %d references, ERT exact, graph preserved, statistics counters exact\n",
-		rep.Objects, rep.Refs)
 	return 0
 }
 

@@ -21,9 +21,7 @@ package analyzer
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	apstats "repro/internal/autopilot/stats"
 	"repro/internal/ert"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -36,13 +34,6 @@ type Analyzer struct {
 	mu   sync.RWMutex
 	erts map[oid.PartitionID]*ert.Table
 	trts map[oid.PartitionID]*trt.Table
-
-	// stats is the autopilot's statistics collector, or nil. The
-	// analyzer is the natural churn-rate probe: it already observes
-	// every log record synchronously in LSN order, so counting
-	// creations, deletions, payload updates and reference changes here
-	// costs one atomic load per record when disabled.
-	stats atomic.Pointer[apstats.Collector]
 }
 
 // New creates an analyzer with no tables.
@@ -117,31 +108,6 @@ func (a *Analyzer) TRT(part oid.PartitionID) (*trt.Table, bool) {
 	return t, ok
 }
 
-// SetStats installs (nil removes) the autopilot's statistics collector;
-// the analyzer feeds it the per-partition churn counters.
-func (a *Analyzer) SetStats(c *apstats.Collector) { a.stats.Store(c) }
-
-// noteChurn counts one record's churn. Compensation records are skipped:
-// an undo reverts churn rather than adding to it, and counting both
-// directions would make an aborted transaction look like twice the
-// activity it was.
-func (a *Analyzer) noteChurn(r *wal.Record) {
-	c := a.stats.Load()
-	if c == nil || r.CLR {
-		return
-	}
-	switch r.Type {
-	case wal.RecCreate:
-		c.NoteCreate(r.Identity().Partition())
-	case wal.RecDelete:
-		c.NoteDelete(r.Identity().Partition())
-	case wal.RecUpdate:
-		c.NoteUpdate(r.Identity().Partition())
-	case wal.RecRefInsert, wal.RecRefDelete, wal.RecRefUpdate:
-		c.NoteRefChurn(r.Identity().Partition(), 1)
-	}
-}
-
 // Observe processes one log record. It is registered as the WAL observer
 // and therefore runs synchronously with Append, in LSN order.
 //
@@ -153,7 +119,6 @@ func (a *Analyzer) noteChurn(r *wal.Record) {
 // an object's placement, not its identity or its edges, which is exactly
 // why logical mode needs no ERT/TRT work per migration.
 func (a *Analyzer) Observe(r *wal.Record) {
-	a.noteChurn(r)
 	switch r.Type {
 	case wal.RecCreate:
 		// A new object's initial references are insertions from the new

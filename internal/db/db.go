@@ -14,11 +14,9 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analyzer"
-	apstats "repro/internal/autopilot/stats"
 	"repro/internal/ert"
 	"repro/internal/hwmode"
 	"repro/internal/latch"
@@ -141,10 +139,6 @@ type Database struct {
 	// ownsDataDir marks a temporary segment directory created by Open
 	// (DiskBacked with empty DataDir); Close removes it.
 	ownsDataDir bool
-
-	// stats is the autopilot statistics collector, installed by
-	// EnableStats on the store and analyzer; nil until then.
-	stats atomic.Pointer[apstats.Collector]
 
 	// ckptGate makes checkpoints action-consistent: every logged
 	// mutation holds it in read mode across its (log, apply) pair, and
@@ -289,34 +283,6 @@ func openDB(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
 
 // Config returns the database configuration.
 func (d *Database) Config() Config { return d.cfg }
-
-// EnableStats installs a fresh autopilot statistics collector on the
-// store and log analyzer, priming its space counters from an exact scan
-// of every partition. Call it on a quiescent database (right after Open
-// or a workload build): priming races with concurrent mutators. Repeated
-// calls return the already-installed collector.
-func (d *Database) EnableStats() (*apstats.Collector, error) {
-	if c := d.stats.Load(); c != nil {
-		return c, nil
-	}
-	c := apstats.New()
-	for _, part := range d.store.Partitions() {
-		st, err := d.store.PartitionStats(part)
-		if err != nil {
-			return nil, err
-		}
-		c.Prime(part, int64(st.Objects), int64(st.Pages), int64(st.DeadBytes), int64(st.DeadSlots))
-	}
-	if !d.stats.CompareAndSwap(nil, c) {
-		return d.stats.Load(), nil
-	}
-	d.store.SetStatsCollector(c)
-	d.an.SetStats(c)
-	return c, nil
-}
-
-// StatsCollector returns the collector installed by EnableStats, or nil.
-func (d *Database) StatsCollector() *apstats.Collector { return d.stats.Load() }
 
 // Store exposes the storage layer (used by reorg, recovery and checks).
 func (d *Database) Store() *storage.Store { return d.store }

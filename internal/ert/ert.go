@@ -125,34 +125,6 @@ func (t *Table) ReferencedObjects() []oid.OID {
 	return out
 }
 
-// SampleReferenced returns up to n referenced objects chosen
-// deterministically from seed. The autopilot seeds its reference-
-// locality probes from the ERT this way: the referenced objects are the
-// partition's externally anchored entry points (the same roots the fuzzy
-// traversal starts from), and a bounded sample keeps the probe cheap on
-// large tables.
-func (t *Table) SampleReferenced(n int, seed uint64) []oid.OID {
-	keys := t.m.Keys()
-	// Keys() order is hash-table order; sort first so the sample depends
-	// only on the seed and table contents.
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	if n > len(keys) {
-		n = len(keys)
-	}
-	// Partial Fisher-Yates driven by an LCG: the first n positions are a
-	// uniform sample without replacement.
-	for i := 0; i < n; i++ {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		j := i + int(seed%uint64(len(keys)-i))
-		keys[i], keys[j] = keys[j], keys[i]
-	}
-	out := make([]oid.OID, n)
-	for i := 0; i < n; i++ {
-		out[i] = oid.OID(keys[i])
-	}
-	return out
-}
-
 // Children returns the number of referenced objects.
 func (t *Table) Children() int { return t.m.Len() }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -307,6 +308,30 @@ func clusterPass(d *db.Database, anchor oid.OID) (int, error) {
 					return objects[i] < objects[j]
 				}
 				return ri < rj
+			})
+			return objects
+		},
+	})
+	if err := r.Run(); err != nil {
+		return 0, err
+	}
+	return r.Stats().Migrated, nil
+}
+
+// shuffleChurn scatters part's objects with a quiescent offline pass: a
+// same-partition, non-dense (first-fit) plan under a shuffled migration
+// order relocates every object into whatever hole opens first, which
+// decorrelates page placement from the reference graph — the decayed
+// layout a long-lived update workload produces, compressed into one
+// pass. Must run with no concurrent transactions.
+func shuffleChurn(d *db.Database, part oid.PartitionID, seed int64) (int, error) {
+	rng := rand.New(rand.NewSource(seed))
+	r := reorg.New(d, part, reorg.Options{
+		Mode: reorg.ModeOffline,
+		Plan: &reorg.Plan{Target: func(oid.OID) oid.PartitionID { return part }},
+		MigrationOrder: func(objects []oid.OID) []oid.OID {
+			rng.Shuffle(len(objects), func(i, j int) {
+				objects[i], objects[j] = objects[j], objects[i]
 			})
 			return objects
 		},

@@ -100,7 +100,6 @@ func All() []Experiment {
 		{"partitions", "§5.3.4: number of partitions sweep", runPartitions},
 		{"equal-duration", "§5.3.4: PQR measured over IRA's duration", runEqualDuration},
 		{"preorg", "parallel reorganization: scheduler worker-count sweep", runParallelReorg},
-		{"autopilot", "autopilot: closed-loop churn→detect→repair smoke cell", runAutopilotSmoke},
 	}
 }
 

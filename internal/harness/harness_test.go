@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/oid"
 	"repro/internal/reorg"
 	"repro/internal/workload"
 )
@@ -107,7 +108,7 @@ func TestRunWithFixedWindow(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 17 {
+	if len(all) != 16 {
 		t.Fatalf("registry has %d experiments", len(all))
 	}
 	ids := map[string]bool{}
@@ -228,6 +229,46 @@ func TestSystemString(t *testing.T) {
 	for s, want := range map[System]string{NR: "NR", IRA: "IRA", IRATwoLock: "IRA-2L", PQR: "PQR"} {
 		if s.String() != want {
 			t.Errorf("System(%d) = %q", int(s), s.String())
+		}
+	}
+}
+
+// TestClusterOrderPermutation checks that the queryscan clustering order
+// is a permutation of the partition's objects: every object migrates
+// exactly once.
+func TestClusterOrderPermutation(t *testing.T) {
+	cfg := db.DefaultConfig()
+	cfg.FlushLatency = 0
+	p := tinyScale().Params
+	p.NumPartitions = 2
+	p.MPL = 1
+	w, err := workload.Build(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.DB.Close()
+
+	var objs []oid.OID
+	if err := w.DB.Store().ForEach(1, func(o oid.OID, _ []byte) bool {
+		objs = append(objs, o)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out := clusterOrder(w.DB, 1)(append([]oid.OID(nil), objs...))
+	if len(out) != len(objs) {
+		t.Fatalf("clusterOrder returned %d objects, want %d", len(out), len(objs))
+	}
+	seen := make(map[oid.OID]bool, len(out))
+	for _, o := range out {
+		if seen[o] {
+			t.Fatalf("clusterOrder duplicated %v", o)
+		}
+		seen[o] = true
+	}
+	for _, o := range objs {
+		if !seen[o] {
+			t.Fatalf("clusterOrder dropped %v", o)
 		}
 	}
 }

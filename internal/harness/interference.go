@@ -159,14 +159,6 @@ type interferenceRun struct {
 
 // sampleWindow measures one window of the transaction stream.
 func sampleWindow(rec *metrics.Recorder, window time.Duration, base time.Time, active bool) InterferencePoint {
-	p, _ := sampleWindowSummary(rec, window, base, active)
-	return p
-}
-
-// sampleWindowSummary is sampleWindow, also returning the window's full
-// summary (the autopilot benchmark merges the per-window histograms into
-// phase-level tails).
-func sampleWindowSummary(rec *metrics.Recorder, window time.Duration, base time.Time, active bool) (InterferencePoint, metrics.Summary) {
 	start := time.Now()
 	rec.StartWindow()
 	time.Sleep(window)
@@ -181,7 +173,7 @@ func sampleWindowSummary(rec *metrics.Recorder, window time.Duration, base time.
 		Commits:     s.Commits,
 		Aborts:      s.Aborts,
 		ReorgActive: active,
-	}, s
+	}
 }
 
 // runInterferenceCell runs the workload and samples it. With reorgOn,

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/autopilot"
 	"repro/internal/db"
 	"repro/internal/hwmode"
 	"repro/internal/metrics"
@@ -27,7 +26,7 @@ import (
 // pipeline (FollowRefs over the workload's cluster trees), so the
 // benchmark reports what an analytic client actually feels: cold
 // traversal latency and fault rate on a declustered store, the same
-// store after an autopilot-ordered clustering pass, and — second cell —
+// store after a reference-ordered clustering pass, and — second cell —
 // how much analytic scans and OLTP traffic interfere while a reorg
 // fleet migrates every partition underneath both. Written as
 // BENCH_queryscan.json (reorgbench -bench queryscan), one trajectory
@@ -177,14 +176,14 @@ func runQueryScanOnce(w io.Writer, sc Scale, mode hwmode.Mode) (*QueryscanReport
 		return nil, fmt.Errorf("queryscan: declustered traversal: %w", err)
 	}
 
-	// Re-cluster with the autopilot's placement policy: dense
-	// compaction in DFS order from the partition's ERT entry points.
+	// Re-cluster: dense compaction in DFS order from the partition's
+	// ERT entry points.
 	reorgStart := time.Now()
 	plan := reorg.CompactPlan(queryscanPart)
 	r := reorg.New(d, queryscanPart, reorg.Options{
 		Mode:           reorg.ModeOffline,
 		Plan:           &plan,
-		MigrationOrder: autopilot.ClusterOrder(d, queryscanPart),
+		MigrationOrder: clusterOrder(d, queryscanPart),
 	})
 	if err := r.Run(); err != nil {
 		return nil, fmt.Errorf("queryscan: clustering pass: %w", err)
@@ -569,4 +568,70 @@ func runQueryInterferenceCell(p workload.Params, cfg db.Config, scansOn bool, to
 		}
 	}
 	return run, nil
+}
+
+// clusterOrder returns a MigrationOrder hook that re-clusters a
+// partition's objects by reference locality: a depth-first traversal of
+// the intra-partition reference graph, seeded from the ERT's referenced
+// objects (the externally anchored entry points), emits each parent
+// immediately followed by the subtree it reaches. Dense plans place
+// objects in migration order, so the emitted order is the on-page
+// layout — the clustering policies of [TN91]/[WMK94] the paper's §1
+// names as the reason to reorganize, plugged into the reorg.Options
+// placement hook.
+//
+// The hook runs at an object boundary with no reorganizer locks held;
+// reads go through the fuzzy (latch-only) path. Objects whose references
+// cannot be read — deleted mid-traversal — keep their traversal-order
+// position via reorg's own fallback for dropped objects.
+func clusterOrder(d *db.Database, part oid.PartitionID) func([]oid.OID) []oid.OID {
+	return func(objects []oid.OID) []oid.OID {
+		in := make(map[oid.OID]bool, len(objects))
+		for _, o := range objects {
+			in[o] = true
+		}
+		visited := make(map[oid.OID]bool, len(objects))
+		out := make([]oid.OID, 0, len(objects))
+		// Iterative DFS; the explicit stack keeps deep reference chains
+		// (glue edges can link cluster trees into long paths) off the
+		// goroutine stack.
+		var stack []oid.OID
+		push := func(o oid.OID) {
+			if in[o] && !visited[o] {
+				stack = append(stack, o)
+			}
+		}
+		visit := func(root oid.OID) {
+			push(root)
+			for len(stack) > 0 {
+				o := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if visited[o] || !in[o] {
+					continue
+				}
+				visited[o] = true
+				out = append(out, o)
+				refs, err := d.FuzzyReadRefs(o)
+				if err != nil {
+					continue
+				}
+				// Push in reverse so the first reference is laid out
+				// right after its parent.
+				for i := len(refs) - 1; i >= 0; i-- {
+					if refs[i].Partition() == part {
+						push(refs[i])
+					}
+				}
+			}
+		}
+		for _, root := range d.ERT(part).ReferencedObjects() {
+			visit(root)
+		}
+		// Anything unreached from the ERT (root-table partitions, cycles
+		// with no external anchor) keeps traversal order.
+		for _, o := range objects {
+			visit(o)
+		}
+		return out
+	}
 }

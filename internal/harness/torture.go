@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/autopilot"
 	"repro/internal/check"
 	"repro/internal/db"
 	"repro/internal/fault"
@@ -89,12 +88,6 @@ type TortureConfig struct {
 	// Chaos arms background noise on top of the crash schedule:
 	// spurious lock timeouts (p=0.02) and latch delays (p=0.01).
 	Chaos bool
-	// AdaptivePace throttles the fleet through an autopilot token-bucket
-	// pacer (fixed pace — no workload baseline exists here, which is the
-	// pacer's graceful-degradation path). Crashes then land between
-	// paced admissions, exercising the §4.4 resume protocol with the
-	// pacer in the worker loop.
-	AdaptivePace bool
 	// QueryScan adds an analytic query worker to every round: full
 	// reference-path traversals of the tree fixture through the
 	// internal/query operators while the partitions underneath migrate,
@@ -837,21 +830,6 @@ func (w *tortureWorld) round(round int) (rep RoundReport, done bool, err error) 
 		}()
 	}
 
-	var pace func() error
-	maxRetries := 50
-	if cfg.AdaptivePace {
-		// Fast enough not to stretch the round past its timeout, slow
-		// enough that admissions are genuinely spaced out.
-		pace = autopilot.NewPacer(autopilot.PacerConfig{
-			InitialRate: 500, MinRate: 500, MaxRate: 500, Burst: 4,
-		}).Acquire
-		// A paced round lasts several times longer, so a fixed retry
-		// budget covers proportionally less of the contention the
-		// concurrent counter transactions generate; scale it up so a
-		// loaded machine exhausting 500ms lock waits stays a liveness
-		// hiccup, not a round failure.
-		maxRetries = 250
-	}
 	var s *reorg.Scheduler
 	var mvFailures map[oid.PartitionID]error
 	var mvStates map[oid.PartitionID]*reorg.State
@@ -869,11 +847,10 @@ func (w *tortureWorld) round(round int) (rep RoundReport, done bool, err error) 
 			Reorg: reorg.Options{
 				Mode:            cfg.Mode,
 				BatchSize:       cfg.BatchSize,
-				MaxRetries:      maxRetries,
+				MaxRetries:      50,
 				WaitTimeout:     500 * time.Millisecond,
 				CheckpointEvery: 1,
 			},
-			Pace:         pace,
 			ResumeStates: w.resume,
 			Records:      w.records,
 		})
@@ -1263,7 +1240,6 @@ func RunTortureSweep(w io.Writer, spec TortureSpec) ([]SweepFailure, error) {
 			Dir:                 runDir,
 			CrashDuringRecovery: n%3 == 0,
 			Chaos:               n%2 == 1,
-			AdaptivePace:        n%3 == 1,
 			QueryScan:           n%2 == 0,
 		}
 		// A fresh interleaving ring per run: on failure its tail shows

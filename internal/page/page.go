@@ -310,12 +310,8 @@ func (p *Page) Update(s uint16, data []byte) error {
 }
 
 // Compact rewrites all live cells tightly against the end of the page,
-// eliminating dead bytes. Slot numbers are unchanged. It returns the
-// number of dead bytes reclaimed — the page layer's compaction signal,
-// which the storage layer folds into the autopilot's fragmentation
-// statistics.
-func (p *Page) Compact() int {
-	reclaimed := int(p.deadBytes())
+// eliminating dead bytes. Slot numbers are unchanged.
+func (p *Page) Compact() {
 	type cell struct {
 		slot   int
 		off    uint16
@@ -347,7 +343,6 @@ func (p *Page) Compact() int {
 	}
 	p.setCellStart(uint16(write - 1))
 	p.setDeadBytes(0)
-	return reclaimed
 }
 
 // Slots calls fn for every live slot with its cell bytes. The slice passed

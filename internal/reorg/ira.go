@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/fault"
-	"repro/internal/lock"
 	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/oid"
@@ -99,27 +98,8 @@ func (r *Reorganizer) migrateAllBasic() error {
 			end = len(r.objects)
 		}
 		batch := r.objects[i:end]
-		retries := 0
-		for {
-			err := r.migrateBatch(batch)
-			if err == nil {
-				break
-			}
-			if errors.Is(err, ErrCrash) {
-				return err
-			}
-			if !errors.Is(err, lock.ErrTimeout) {
-				return err
-			}
-			retries++
-			r.stats.Retries++
-			if retries > r.opts.MaxRetries {
-				return fmt.Errorf("reorg: giving up on batch at %s after %d retries: %w",
-					batch[0], retries, err)
-			}
-			if serr := r.stopCheck(); serr != nil {
-				return serr
-			}
+		if err := r.retry("batch at", batch[0], func() error { return r.migrateBatch(batch) }); err != nil {
+			return err
 		}
 		i = end
 		r.maybeCheckpoint(i)
@@ -185,7 +165,6 @@ func (r *Reorganizer) migrateBatch(batch []oid.OID) (err error) {
 	for _, st := range staged {
 		r.migrated[st.old] = st.new
 		r.stats.Migrated++
-		r.noteMigrated(st.old, st.new)
 		r.stats.ParentsUpdated += st.parentsUpdated
 		r.fixupChildren(st.refs, st.old, st.new)
 	}
@@ -430,23 +409,8 @@ func (r *Reorganizer) migrateLateCreations() error {
 			continue
 		}
 		batch := []oid.OID{o}
-		retries := 0
-		for {
-			err := r.migrateBatch(batch)
-			if err == nil {
-				break
-			}
-			if errors.Is(err, ErrCrash) || !errors.Is(err, lock.ErrTimeout) {
-				return err
-			}
-			retries++
-			r.stats.Retries++
-			if retries > r.opts.MaxRetries {
-				return fmt.Errorf("reorg: giving up on late creation %s: %w", o, err)
-			}
-			if serr := r.stopCheck(); serr != nil {
-				return serr
-			}
+		if err := r.retry("late creation", o, func() error { return r.migrateBatch(batch) }); err != nil {
+			return err
 		}
 	}
 	return nil

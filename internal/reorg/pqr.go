@@ -2,10 +2,8 @@ package reorg
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/db"
-	"repro/internal/lock"
 	"repro/internal/oid"
 )
 
@@ -89,26 +87,12 @@ func (r *Reorganizer) quiescePartition(txn *db.Txn) error {
 		if _, done := locked[R]; done || R.Partition() == r.part {
 			return nil
 		}
-		retries := 0
-		for {
-			err := r.lockParent(txn.ID(), R)
-			if err == nil {
-				locked[R] = struct{}{}
-				r.noteLocks(len(locked))
-				return nil
-			}
-			if !errors.Is(err, lock.ErrTimeout) {
-				return err
-			}
-			retries++
-			r.stats.Retries++
-			if retries > r.opts.MaxRetries {
-				return fmt.Errorf("reorg: PQR giving up locking %s: %w", R, err)
-			}
-			if serr := r.stopCheck(); serr != nil {
-				return serr
-			}
+		if err := r.retry("PQR lock on", R, func() error { return r.lockParent(txn.ID(), R) }); err != nil {
+			return err
 		}
+		locked[R] = struct{}{}
+		r.noteLocks(len(locked))
+		return nil
 	}
 	for {
 		progress := false
@@ -185,7 +169,6 @@ func (r *Reorganizer) reorganizeQuiescent(txn *db.Txn) error {
 		}
 		r.migrated[oldO] = newO
 		r.stats.Migrated++
-		r.noteMigrated(oldO, newO)
 		r.stats.ParentsUpdated += updated
 		r.fixupChildren(img.Refs, oldO, newO)
 	}

@@ -300,6 +300,27 @@ func (r *Reorganizer) stopCheck() error {
 	return r.opts.Stopped()
 }
 
+// retry runs attempt until it returns anything but a lock timeout. Each
+// timeout counts in Stats.Retries and polls Stopped before the next
+// attempt; after MaxRetries retries it gives up with an error that names
+// what and o and wraps the last timeout, so callers can still tell it
+// apart from other failures with errors.Is(err, lock.ErrTimeout).
+func (r *Reorganizer) retry(what string, o oid.OID, attempt func() error) error {
+	for retries := 1; ; retries++ {
+		err := attempt()
+		if err == nil || errors.Is(err, ErrCrash) || !errors.Is(err, lock.ErrTimeout) {
+			return err
+		}
+		r.stats.Retries++
+		if retries > r.opts.MaxRetries {
+			return fmt.Errorf("reorg: giving up on %s %s after %d retries: %w", what, o, retries, err)
+		}
+		if serr := r.stopCheck(); serr != nil {
+			return serr
+		}
+	}
+}
+
 // Run executes the reorganization. On ErrCrash it returns immediately
 // with no cleanup (simulating a failure); any other error aborts cleanly.
 func (r *Reorganizer) Run() error {
@@ -416,15 +437,6 @@ func (r *Reorganizer) fixupChildren(refs []oid.OID, oldO, newO oid.OID) {
 				ps[newO] = struct{}{}
 			}
 		}
-	}
-}
-
-// noteMigrated reports one committed object migration to the autopilot
-// statistics collector, if the database has one installed (one atomic
-// load otherwise).
-func (r *Reorganizer) noteMigrated(oldO, newO oid.OID) {
-	if c := r.d.StatsCollector(); c != nil {
-		c.NoteMigrate(oldO.Partition(), newO.Partition())
 	}
 }
 

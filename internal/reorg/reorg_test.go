@@ -449,6 +449,42 @@ func TestRelaxed2PLWaitsForEverLockers(t *testing.T) {
 	f.verify(t, sig)
 }
 
+// TestLockRetryGiveUpWrapsTimeout checks that when lockObjectRetry runs
+// out of retries its error still wraps lock.ErrTimeout: callers such as
+// the torture sweep tolerate a timed-out partition by that sentinel, as
+// they do for the reorganizer's other retry loops.
+func TestLockRetryGiveUpWrapsTimeout(t *testing.T) {
+	cfg := testConfig()
+	cfg.LockTimeout = 10 * time.Millisecond
+	f := buildFixture(t, cfg, 1, 4)
+	var o oid.OID
+	for o = range f.partitionOIDs(t, 1) {
+		break
+	}
+	holder, err := f.d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Abort()
+	if err := f.d.Locks().Lock(holder.ID(), o, lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+
+	r := New(f.d, 1, Options{Mode: ModeIRATwoLock, MaxRetries: 1})
+	txn, err := f.d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Abort()
+	err = r.lockObjectRetry(txn.ID(), o)
+	if !errors.Is(err, lock.ErrTimeout) {
+		t.Fatalf("give-up error %v does not wrap lock.ErrTimeout", err)
+	}
+	if got := r.Stats().Retries; got != 2 {
+		t.Fatalf("Stats.Retries = %d, want 2 (MaxRetries 1, then give up)", got)
+	}
+}
+
 func TestSelfReferenceAndCycle(t *testing.T) {
 	d := db.Open(physicalConfig())
 	defer d.Close()

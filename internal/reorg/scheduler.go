@@ -47,13 +47,6 @@ type FleetOptions struct {
 	// (e.g. a per-partition Plan or Failpoint) before the scheduler
 	// installs its hooks.
 	Configure func(part oid.PartitionID, o *Options)
-	// Pace, if set, is invoked by every worker at each object (or batch)
-	// boundary, after the scheduler's own pause/stop gate and before any
-	// user Gate from the Reorg template. No reorganizer locks are held
-	// across the call, so blocking inside it throttles only migration
-	// admission. The autopilot injects its token-bucket pacer here;
-	// returning an error aborts the partition's run cleanly.
-	Pace func() error
 	// OnCheckpoint receives every per-partition state snapshot, tagged
 	// with its partition. The scheduler also retains the latest snapshot
 	// per partition internally (see States) regardless of this hook.
@@ -353,11 +346,6 @@ func (s *Scheduler) runPartition(worker int, p oid.PartitionID) (Stats, error) {
 	o.Gate = func() error {
 		if err := s.gateWait(); err != nil {
 			return err
-		}
-		if s.opts.Pace != nil {
-			if err := s.opts.Pace(); err != nil {
-				return err
-			}
 		}
 		if userGate != nil {
 			return userGate()

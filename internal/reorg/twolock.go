@@ -2,8 +2,6 @@ package reorg
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/db"
@@ -104,7 +102,6 @@ func (r *Reorganizer) migrateTwoLock(oldO oid.OID, prior *InFlight) error {
 		if !existingNew.IsNil() && r.d.Exists(existingNew) {
 			r.migrated[oldO] = existingNew
 			r.stats.Migrated++
-			r.noteMigrated(oldO, existingNew)
 		}
 		return nil
 	}
@@ -234,7 +231,6 @@ func (r *Reorganizer) migrateTwoLock(oldO oid.OID, prior *InFlight) error {
 	finished = true
 	r.migrated[oldO] = newO
 	r.stats.Migrated++
-	r.noteMigrated(oldO, newO)
 	r.fixupChildren(img.Refs, oldO, newO)
 	r.inFlight = nil
 	return nil
@@ -333,27 +329,7 @@ func (r *Reorganizer) updateOneParent(sp *obs.Span, R, oldO, newO oid.OID) error
 	if R == oldO || R == newO {
 		return nil
 	}
-	retries := 0
-	for {
-		err := r.tryUpdateParent(sp, R, oldO, newO)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrCrash) {
-			return err
-		}
-		if !errors.Is(err, lock.ErrTimeout) {
-			return err
-		}
-		retries++
-		r.stats.Retries++
-		if retries > r.opts.MaxRetries {
-			return fmt.Errorf("reorg: giving up on parent %s after %d retries: %w", R, retries, err)
-		}
-		if serr := r.stopCheck(); serr != nil {
-			return serr
-		}
-	}
+	return r.retry("parent", R, func() error { return r.tryUpdateParent(sp, R, oldO, newO) })
 }
 
 func (r *Reorganizer) tryUpdateParent(sp *obs.Span, R, oldO, newO oid.OID) error {
@@ -378,30 +354,14 @@ func (r *Reorganizer) tryUpdateParent(sp *obs.Span, R, oldO, newO oid.OID) error
 	return ptxn.Commit()
 }
 
-// lockObjectRetry locks o exclusively for txn, retrying timeouts.
+// lockObjectRetry locks o exclusively for txn, retrying timeouts. Under
+// relaxed 2PL it also waits for o's earlier lockers; a timed-out wait
+// keeps the lock and is retried.
 func (r *Reorganizer) lockObjectRetry(txn lock.TxnID, o oid.OID) error {
-	retries := 0
-	for {
-		err := r.d.Locks().Lock(txn, o, lock.Exclusive)
-		if err == nil {
-			if !r.d.Config().Strict2PL {
-				if werr := r.d.Locks().WaitEverLockers(o, txn, r.opts.WaitTimeout); werr == nil {
-					return nil
-				}
-				// Keep the lock; retry the wait.
-			} else {
-				return nil
-			}
-		} else if !errors.Is(err, lock.ErrTimeout) {
+	return r.retry("lock of", o, func() error {
+		if err := r.d.Locks().Lock(txn, o, lock.Exclusive); err != nil || r.d.Config().Strict2PL {
 			return err
 		}
-		retries++
-		r.stats.Retries++
-		if retries > r.opts.MaxRetries {
-			return fmt.Errorf("reorg: giving up locking %s after %d retries", o, retries)
-		}
-		if serr := r.stopCheck(); serr != nil {
-			return serr
-		}
-	}
+		return r.d.Locks().WaitEverLockers(o, txn, r.opts.WaitTimeout)
+	})
 }

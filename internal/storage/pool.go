@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	apstats "repro/internal/autopilot/stats"
 	"repro/internal/fault"
 	"repro/internal/interleave"
 	"repro/internal/oid"
@@ -58,10 +57,6 @@ type frame struct {
 type pool struct {
 	seg    *segment.Dir
 	budget int
-	// stats aliases the owning Store's collector pointer so the fetch
-	// path can attribute hits and faults to partitions without a
-	// back-reference to the store.
-	stats *atomic.Pointer[apstats.Collector]
 
 	mu       sync.Mutex
 	wal      WAL
@@ -118,17 +113,11 @@ func (pl *pool) fetch(p *partition, pn int) (*page.Page, error) {
 	pl.mu.Lock()
 	if f := p.frames[pn]; f != nil {
 		pl.hits.Add(1)
-		if c := pl.stats.Load(); c != nil {
-			c.NotePoolHit(p.id)
-		}
 		pl.pinLocked(f)
 		pl.mu.Unlock()
 		return f.pg, nil
 	}
 	pl.misses.Add(1)
-	if c := pl.stats.Load(); c != nil {
-		c.NotePoolFault(p.id)
-	}
 	pl.mu.Unlock()
 
 	data, _, err := pl.seg.ReadPage(p.id, pn)
@@ -409,7 +398,7 @@ func NewDiskBacked(dir string, frames int, opts ...Option) (*Store, error) {
 	if frames <= 0 {
 		frames = DefaultPoolFrames
 	}
-	s.pool = &pool{seg: seg, budget: frames, stats: &s.stats}
+	s.pool = &pool{seg: seg, budget: frames}
 	if err := s.loadLayout(); err != nil {
 		seg.Close()
 		return nil, err
@@ -475,7 +464,7 @@ func MaterializeDiskBacked(src *Store, dir string, frames int) (*Store, error) {
 		frames = DefaultPoolFrames
 	}
 	dst := New(WithPageSize(src.pageSize), WithFillFactor(src.fillFactor))
-	dst.pool = &pool{seg: seg, budget: frames, stats: &dst.stats}
+	dst.pool = &pool{seg: seg, budget: frames}
 	src.mu.RLock()
 	defer src.mu.RUnlock()
 	for id, p := range src.parts {

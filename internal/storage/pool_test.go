@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	apstats "repro/internal/autopilot/stats"
 	"repro/internal/fault"
 	"repro/internal/interleave"
 	"repro/internal/oid"
@@ -374,51 +373,6 @@ func TestMemPartitionInDiskStore(t *testing.T) {
 		if id == 2 {
 			t.Fatalf("materialize wrote segments for the mem partition")
 		}
-	}
-}
-
-// TestPoolStatsCollectorAttribution checks the pool's collector hook:
-// hits and faults land on the partition whose page was fetched, so the
-// autopilot can score on-disk clustering decay per partition.
-func TestPoolStatsCollectorAttribution(t *testing.T) {
-	s := newPoolStore(t, 64, WithPageSize(1024))
-	col := apstats.New()
-	s.SetStatsCollector(col)
-	oids1 := fillPages(t, s, 1, 4)
-	fillPages(t, s, 2, 4)
-
-	if err := s.EvictAll(); err != nil {
-		t.Fatal(err)
-	}
-	base, _ := col.Partition(1)
-	for _, o := range oids1 {
-		if _, err := s.Read(o, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cold, _ := col.Partition(1)
-	if faults := cold.PoolFaults - base.PoolFaults; faults == 0 {
-		t.Fatal("cold scan of partition 1 noted no faults")
-	}
-	other, _ := col.Partition(2)
-	if other.PoolFaults != 0 {
-		t.Fatalf("partition 2 charged %d faults for partition 1's scan", other.PoolFaults)
-	}
-	// Warm re-scan: all hits, no new faults.
-	for _, o := range oids1 {
-		if _, err := s.Read(o, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warm, _ := col.Partition(1)
-	if warm.PoolFaults != cold.PoolFaults {
-		t.Fatalf("warm re-scan faulted: %d -> %d", cold.PoolFaults, warm.PoolFaults)
-	}
-	if warm.PoolHits <= cold.PoolHits {
-		t.Fatalf("warm re-scan noted no hits: %d -> %d", cold.PoolHits, warm.PoolHits)
-	}
-	if r := warm.PoolFaultRate(); r <= 0 || r >= 1 {
-		t.Fatalf("fault rate %v outside (0,1)", r)
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	apstats "repro/internal/autopilot/stats"
 	"repro/internal/oid"
 	"repro/internal/page"
 	"repro/internal/shard"
@@ -79,11 +78,6 @@ type Store struct {
 	// pool is the buffer pool of a disk-backed store; nil in
 	// memory-resident mode.
 	pool *pool
-
-	// stats is the autopilot's statistics collector, or nil. Every
-	// mutator loads it exactly once; with no collector installed that
-	// single atomic load is the entire instrumentation cost.
-	stats atomic.Pointer[apstats.Collector]
 
 	// readerShards is the reader-shard count of each partition's mutex.
 	// 1 (the default) is a plain RWMutex; hardware mode raises it so
@@ -206,41 +200,6 @@ func New(opts ...Option) *Store {
 // PageSize returns the configured page size.
 func (s *Store) PageSize() int { return s.pageSize }
 
-// SetStatsCollector installs (nil removes) the autopilot's statistics
-// collector. The collector's space counters must already reflect the
-// store's current contents (see db.EnableStats, which primes them from
-// an exact scan); from then on every mutator keeps them current with
-// before/after deltas.
-func (s *Store) SetStatsCollector(c *apstats.Collector) { s.stats.Store(c) }
-
-// StatsCollector returns the installed collector, or nil.
-func (s *Store) StatsCollector() *apstats.Collector { return s.stats.Load() }
-
-// pageFootprint captures a page's fragmentation footprint — dead bytes
-// and dead (free) slot-directory entries — so a mutator can report the
-// delta a mutation produced. The delta form is what keeps the counters
-// exact: an Insert may internally compact the page (reclaiming dead
-// bytes) and reuse a free slot in the same call, and the footprint
-// difference accounts for both without the page layer knowing about the
-// collector at all.
-func pageFootprint(pg *page.Page) (deadBytes, deadSlots int) {
-	if pg == nil {
-		return 0, 0
-	}
-	return pg.DeadBytes(), pg.NumSlots() - pg.LiveSlots()
-}
-
-// noteMutation reports one page mutation's footprint delta, plus any
-// live-object and page-count change, to the collector. No-op when c is
-// nil; db0/ds0 are the pageFootprint captured before the mutation.
-func (s *Store) noteMutation(c *apstats.Collector, part oid.PartitionID, pg *page.Page, db0, ds0, liveDelta, pagesDelta int) {
-	if c == nil {
-		return
-	}
-	db1, ds1 := pageFootprint(pg)
-	c.NoteSpace(part, liveDelta, pagesDelta, db1-db0, ds1-ds0)
-}
-
 // CreatePartition adds an empty partition with the given id.
 func (s *Store) CreatePartition(id oid.PartitionID) error {
 	s.mu.Lock()
@@ -294,9 +253,6 @@ func (s *Store) DropPartition(id oid.PartitionID) error {
 			return err
 		}
 	}
-	if c := s.stats.Load(); c != nil {
-		c.DropPartition(id)
-	}
 	return nil
 }
 
@@ -335,27 +291,17 @@ func (s *Store) maxCell() int {
 	return s.pageSize - 16 // header + one slot entry, conservatively
 }
 
-// tryInsert attempts an insert into the (pinned) page pn, reporting the
-// footprint delta either way (a failed insert may still compact the
-// page) and marking the page dirty if its bytes may have changed.
+// tryInsert attempts an insert into the (pinned) page pn, marking the
+// page dirty either way: a failed insert may still have compacted it.
 // Caller holds p.mu (W). Returns the slot and true on success.
-func (s *Store) tryInsert(c *apstats.Collector, p *partition, pn int, pg *page.Page, data []byte) (uint16, bool) {
-	var db0, ds0 int
-	if c != nil {
-		db0, ds0 = pageFootprint(pg)
-	}
+func (s *Store) tryInsert(p *partition, pn int, pg *page.Page, data []byte) (uint16, bool) {
 	slot, err := pg.Insert(data)
-	if err == nil {
-		p.nLive++
-		s.noteMutation(c, p.id, pg, db0, ds0, 1, 0)
-		s.notePageDirty(p, pn, 0)
-		return slot, true
-	}
-	// A failed insert may still have compacted the page; the footprint
-	// delta captures that too, and the page bytes may have moved.
-	s.noteMutation(c, p.id, pg, db0, ds0, 0, 0)
 	s.notePageDirty(p, pn, 0)
-	return 0, false
+	if err != nil {
+		return 0, false
+	}
+	p.nLive++
+	return slot, true
 }
 
 // Allocate stores data in partition part and returns its address. By
@@ -386,7 +332,6 @@ func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := s.stats.Load()
 
 	// finish runs the caller's log hook (if any) while the page is
 	// still pinned, then stamps the page with the record's LSN, so any
@@ -402,13 +347,8 @@ func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 		}
 		lsn, lerr := logFn(o)
 		if lerr != nil {
-			var db0, ds0 int
-			if c != nil {
-				db0, ds0 = pageFootprint(pg)
-			}
 			if derr := pg.Delete(slot); derr == nil {
 				p.nLive--
-				s.noteMutation(c, part, pg, db0, ds0, -1, 0)
 			}
 			s.notePageDirty(p, pn, 0)
 			return oid.Nil, lerr
@@ -427,7 +367,7 @@ func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 			}
 			if pg != nil {
 				if pg.FreeSpace()-p.reserved(last, 0) >= len(data) {
-					if slot, ok := s.tryInsert(c, p, last, pg, data); ok {
+					if slot, ok := s.tryInsert(p, last, pg, data); ok {
 						return finish(last, pg, slot)
 					}
 				}
@@ -452,7 +392,7 @@ func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 				s.releasePage(p, pn)
 				continue
 			}
-			if slot, ok := s.tryInsert(c, p, pn, pg, data); ok {
+			if slot, ok := s.tryInsert(p, pn, pg, data); ok {
 				p.cursor = pn
 				return finish(pn, pg, slot)
 			}
@@ -474,9 +414,6 @@ func (s *Store) Allocate(part oid.PartitionID, data []byte, dense bool, logFn fu
 		return oid.Nil, err
 	}
 	p.nLive++
-	if c != nil {
-		c.NoteSpace(part, 1, 1, 0, 0)
-	}
 	return finish(pn, pg, slot)
 }
 
@@ -589,22 +526,14 @@ func (s *Store) rewriteSlot(o oid.OID, data []byte, free bool, txn wal.TxnID, lo
 	if err != nil {
 		return err
 	}
-	c := s.stats.Load()
-	var db0, ds0 int
-	if c != nil {
-		db0, ds0 = pageFootprint(pg)
-	}
-	liveDelta := 0
 	if !free {
 		err = pg.Update(slot, data)
 	} else if err = pg.Delete(slot); err == nil {
-		liveDelta = -1
+		p.nLive--
 	}
 	if err == nil && reserve && grow != 0 {
 		s.noteResize(p, pn, txn, grow)
 	}
-	p.nLive += liveDelta
-	s.noteMutation(c, o.Partition(), pg, db0, ds0, liveDelta, 0)
 	s.notePageDirty(p, pn, lsn)
 	return err
 }
@@ -706,13 +635,10 @@ func (s *Store) allocateAt(o oid.OID, data []byte, txn wal.TxnID, logFn func() (
 	if err != nil {
 		return err
 	}
-	c := s.stats.Load()
-	pagesAdded := 0
 	for uint64(len(p.pages)) <= uint64(o.Page()) {
 		if _, err := s.installNewPage(p, page.New(s.pageSize), lsn); err != nil {
 			return err
 		}
-		pagesAdded++
 	}
 	pn := int(o.Page())
 	pg, err := s.fetchPage(p, pn)
@@ -726,24 +652,17 @@ func (s *Store) allocateAt(o oid.OID, data []byte, txn wal.TxnID, logFn func() (
 		if err != nil {
 			return err
 		}
-		pagesAdded++
 	}
 	defer s.releasePage(p, pn)
-	var db0, ds0 int
-	if c != nil {
-		db0, ds0 = pageFootprint(pg)
-	}
-	liveDelta, slot := 0, uint16(o.Slot())
+	slot := uint16(o.Slot())
 	if pg.Has(slot) {
 		err = pg.Update(slot, data)
 	} else if err = pg.InsertAt(slot, data); err == nil {
-		liveDelta = 1
+		p.nLive++
 		if logFn != nil && txn != 0 {
 			s.noteResize(p, pn, txn, len(data))
 		}
 	}
-	p.nLive += liveDelta
-	s.noteMutation(c, o.Partition(), pg, db0, ds0, liveDelta, pagesAdded)
 	s.notePageDirty(p, pn, lsn)
 	return err
 }
@@ -782,9 +701,7 @@ func (s *Store) TrimPages(part oid.PartitionID) (int, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := s.stats.Load()
 	trimmed := 0
-	var deadFreed, slotsFreed int
 	for pn := 1; pn < len(p.pages); pn++ {
 		pg, ferr := s.fetchPage(p, pn)
 		if ferr != nil {
@@ -797,19 +714,11 @@ func (s *Store) TrimPages(part oid.PartitionID) (int, error) {
 			s.releasePage(p, pn)
 			continue
 		}
-		if c != nil {
-			db, ds := pageFootprint(pg)
-			deadFreed += db
-			slotsFreed += ds
-		}
 		s.releasePage(p, pn)
 		if err := s.dropPageAt(p, pn); err != nil {
 			return trimmed, err
 		}
 		trimmed++
-	}
-	if c != nil && trimmed > 0 {
-		c.NoteSpace(part, 0, -trimmed, -deadFreed, -slotsFreed)
 	}
 	if p.cursor >= len(p.pages) || p.cursor < 1 {
 		p.cursor = 1
@@ -925,7 +834,6 @@ type Stats struct {
 	Pages      int // allocated pages
 	LiveBytes  int // bytes in live cells
 	DeadBytes  int // bytes in deleted cells (fragmentation)
-	DeadSlots  int // free slot-directory entries (tombstones)
 	FreeBytes  int // unused bytes (contiguous + dead)
 	Objects    int // live objects
 	TotalBytes int // pages × page size
@@ -959,7 +867,6 @@ func (s *Store) PartitionStats(part oid.PartitionID) (Stats, error) {
 		st.Pages++
 		st.TotalBytes += pg.Size()
 		st.DeadBytes += pg.DeadBytes()
-		st.DeadSlots += pg.NumSlots() - pg.LiveSlots()
 		st.FreeBytes += pg.FreeSpace()
 		pg.Slots(func(_ uint16, data []byte) bool {
 			st.LiveBytes += len(data)
