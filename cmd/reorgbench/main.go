@@ -6,14 +6,11 @@
 //	reorgbench -list
 //	reorgbench -exp fig6                # one experiment, quick scale
 //	reorgbench -exp all -scale full     # the whole evaluation, paper scale
-//	reorgbench -bench lockscale         # MPL × fleet-worker and group-commit sweeps → BENCH_lock.json
 //	reorgbench -bench torture           # crash-recovery torture sweep → BENCH_torture.json
-//	reorgbench -bench interference      # 100ms-window reorg-on/off series → BENCH_interference.json
 //	reorgbench -bench bufferpool        # scan fault rate before/after clustering → BENCH_bufferpool.json
-//	reorgbench -bench netload           # wire-protocol client/server series → BENCH_netload.json
 //	reorgbench -bench queryscan         # operator-pipeline traversal vs clustering + scan interference → BENCH_queryscan.json
 //	reorgbench -bench oidmode           # physical vs logical-OID paired migration cells → BENCH_oidmode.json
-//	reorgbench -bench lockscale -mode hardware   # one trajectory only (fidelity, hardware, or both)
+//	reorgbench -bench oidmode -mode hardware     # one trajectory only (fidelity, hardware, or both)
 //	reorgbench -http :6060 -exp fig6    # expose expvar + pprof while running
 //
 // Quick scale preserves the paper's shapes (who wins, by what factor,
@@ -24,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -32,44 +28,7 @@ import (
 	"repro/internal/obs"
 )
 
-// netClientMain is the hidden child-process entry point spawned by the
-// netload bench (`reorgbench netclient -addr ...`): it drives walker
-// clients against the server and streams per-transaction samples on
-// stdout until stdin reaches EOF.
-func netClientMain(args []string) {
-	fs := flag.NewFlagSet("netclient", flag.ExitOnError)
-	var (
-		addr       = fs.String("addr", "", "server address")
-		tenant     = fs.String("tenant", "load", "tenant name for admission")
-		workers    = fs.Int("workers", 1, "walker goroutines in this process")
-		seed       = fs.Int64("seed", 1, "walker random seed")
-		partitions = fs.Int("partitions", 1, "data partition count")
-		ops        = fs.Int("ops", 8, "accesses per transaction")
-		updateProb = fs.Float64("updateprob", 0.5, "exclusive-access probability")
-		churnProb  = fs.Float64("churnprob", 0, "reference-churn probability")
-	)
-	fs.Parse(args)
-	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "netclient: -addr is required")
-		os.Exit(2)
-	}
-	stop := make(chan struct{})
-	go func() {
-		io.Copy(io.Discard, os.Stdin) // parent closes our stdin to stop us
-		close(stop)
-	}()
-	if err := harness.RunNetClient(os.Stdout, stop, *addr, *tenant, *workers, *seed,
-		harness.NetClientParams(*partitions, *ops, *updateProb, *churnProb)); err != nil {
-		fmt.Fprintf(os.Stderr, "netclient: %v\n", err)
-		os.Exit(1)
-	}
-}
-
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "netclient" {
-		netClientMain(os.Args[2:])
-		return
-	}
 	var (
 		expID    = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		scale    = flag.String("scale", "quick", "experiment scale: quick or full")
@@ -77,7 +36,7 @@ func main() {
 		list     = flag.Bool("list", false, "list available experiments")
 		seed     = flag.Int64("seed", 1, "workload random seed")
 		verbose  = flag.Bool("v", false, "print per-experiment timing")
-		bench    = flag.String("bench", "", "benchmark id: lockscale, torture, interference, bufferpool, netload, queryscan, oidmode")
+		bench    = flag.String("bench", "", "benchmark id: torture, bufferpool, queryscan, oidmode")
 		benchout = flag.String("benchout", "", "JSON report path for -bench (default BENCH_<id>.json)")
 		mode     = flag.String("mode", "both", "execution mode for -bench trajectories: fidelity, hardware, or both")
 		httpAddr = flag.String("http", "", "serve expvar + pprof on this address (e.g. :6060)")
@@ -109,20 +68,6 @@ func main() {
 		}
 		sc.Modes = modes
 		switch *bench {
-		case "lockscale":
-			out := *benchout
-			if out == "" {
-				out = "BENCH_lock.json"
-			}
-			fmt.Printf("== lockscale — MPL × fleet-worker and group-commit sweeps (scale: %s) ==\n", sc.Name)
-			start := time.Now()
-			if err := harness.RunLockScale(os.Stdout, sc, out); err != nil {
-				fmt.Fprintf(os.Stderr, "benchmark lockscale failed: %v\n", err)
-				os.Exit(1)
-			}
-			if *verbose {
-				fmt.Printf("-- lockscale completed in %s\n", time.Since(start).Round(time.Millisecond))
-			}
 		case "torture":
 			out := *benchout
 			if out == "" {
@@ -143,20 +88,6 @@ func main() {
 			if *verbose {
 				fmt.Printf("-- torture completed in %s\n", time.Since(start).Round(time.Millisecond))
 			}
-		case "interference":
-			out := *benchout
-			if out == "" {
-				out = "BENCH_interference.json"
-			}
-			fmt.Printf("== interference — live reorg-on/off window series (scale: %s) ==\n", sc.Name)
-			start := time.Now()
-			if err := harness.RunInterference(os.Stdout, sc, out); err != nil {
-				fmt.Fprintf(os.Stderr, "benchmark interference failed: %v\n", err)
-				os.Exit(1)
-			}
-			if *verbose {
-				fmt.Printf("-- interference completed in %s\n", time.Since(start).Round(time.Millisecond))
-			}
 		case "bufferpool":
 			out := *benchout
 			if out == "" {
@@ -170,27 +101,6 @@ func main() {
 			}
 			if *verbose {
 				fmt.Printf("-- bufferpool completed in %s\n", time.Since(start).Round(time.Millisecond))
-			}
-		case "netload":
-			out := *benchout
-			if out == "" {
-				out = "BENCH_netload.json"
-			}
-			// The load runs in real child client processes: this binary
-			// re-executed with the hidden netclient subcommand.
-			self, err := os.Executable()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchmark netload: resolve executable: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("== netload — wire-protocol client/server window series (scale: %s) ==\n", sc.Name)
-			start := time.Now()
-			if err := harness.RunNetload(os.Stdout, sc, out, []string{self, "netclient"}); err != nil {
-				fmt.Fprintf(os.Stderr, "benchmark netload failed: %v\n", err)
-				os.Exit(1)
-			}
-			if *verbose {
-				fmt.Printf("-- netload completed in %s\n", time.Since(start).Round(time.Millisecond))
 			}
 		case "queryscan":
 			out := *benchout
@@ -221,7 +131,7 @@ func main() {
 				fmt.Printf("-- oidmode completed in %s\n", time.Since(start).Round(time.Millisecond))
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q (lockscale, torture, interference, bufferpool, netload, queryscan, oidmode)\n", *bench)
+			fmt.Fprintf(os.Stderr, "unknown benchmark %q (torture, bufferpool, queryscan, oidmode)\n", *bench)
 			os.Exit(2)
 		}
 		return

@@ -24,8 +24,10 @@
 //
 // With -torture it instead runs the seeded crash-recovery torture
 // sweep (see internal/harness.RunTorture): crash at schedule-chosen
-// fault points, recover, resume, verify. A failing run prints a replay
-// line naming the exact seed and crash point:
+// fault points, recover, resume, verify. The seed selects each run's
+// crash point from the -points list and its recovery, chaos and query
+// flags, so a failing run prints a replay line naming the seed and the
+// -points list it was given:
 //
 //	reorgck -torture -seeds 64
 //	reorgck -torture -seeds 1 -seedbase 83 -points reorg/twolock-parents-done
@@ -49,7 +51,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -395,28 +396,22 @@ func runNetChaos(seed int64, mpl int, dur time.Duration) int {
 // process exit code: 0 on a clean sweep, 1 on any invariant violation,
 // 2 on usage errors.
 func runTorture(seeds int, seedbase int64, pointsCSV string) int {
-	pts := harness.DefaultTorturePoints()
+	var pts []harness.TorturePoint
 	if pointsCSV != "" {
-		want := make(map[string]bool)
-		for _, p := range strings.Split(pointsCSV, ",") {
-			want[strings.TrimSpace(p)] = true
-		}
-		var sel []harness.TorturePoint
-		for _, tp := range pts {
-			if want[tp.Point] {
-				sel = append(sel, tp)
-			}
-		}
-		if len(sel) == 0 {
-			fmt.Fprintf(os.Stderr, "no crash points match %q; known points:\n", pointsCSV)
-			for _, tp := range pts {
+		var err error
+		if pts, err = harness.SelectTorturePoints(pointsCSV); err != nil {
+			fmt.Fprintf(os.Stderr, "%v; known points:\n", err)
+			for _, tp := range harness.DefaultTorturePoints() {
 				fmt.Fprintf(os.Stderr, "  %s (%s)\n", tp.Point, tp.Mode)
 			}
 			return 2
 		}
-		pts = sel
 	}
-	fmt.Printf("torture: %d seeds from %d over %d crash points\n", seeds, seedbase, len(pts))
+	n := len(pts)
+	if n == 0 {
+		n = len(harness.DefaultTorturePoints())
+	}
+	fmt.Printf("torture: %d seeds from %d over %d crash points\n", seeds, seedbase, n)
 	failures, err := harness.RunTortureSweep(os.Stdout, harness.TortureSpec{
 		Seeds:    seeds,
 		SeedBase: seedbase,

@@ -9,9 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Scale sets the size of an experiment run. Quick preserves every shape
-// the paper reports at a fraction of the runtime; Full uses the paper's
-// exact workload parameters (Table 1).
+// Scale sets the size of an experiment run, and of the bufferpool,
+// queryscan and oidmode benches, which size their cells from Params and
+// Name. Quick preserves every shape the paper reports at a fraction of
+// the runtime; Full uses the paper's exact workload parameters (Table 1).
 type Scale struct {
 	Name            string
 	Params          workload.Params
@@ -25,10 +26,6 @@ type Scale struct {
 	// WorkerCounts is the scheduler pool-size sweep of the parallel
 	// reorganization experiment (`preorg`).
 	WorkerCounts []int
-	// LockScaleMPLs × LockScaleWorkers is the grid of the lockscale
-	// benchmark's workload sweep (see RunLockScale).
-	LockScaleMPLs    []int
-	LockScaleWorkers []int
 	// Modes lists the execution modes every bench harness sweeps; empty
 	// means both (fidelity first). The cmds' -mode flag narrows it.
 	Modes []hwmode.Mode
@@ -49,9 +46,6 @@ func QuickScale() Scale {
 		PathLens:        []int{2, 8, 16},
 		PartitionCounts: []int{5, 10, 20},
 		WorkerCounts:    []int{1, 2, 4, 8},
-
-		LockScaleMPLs:    []int{4, 16},
-		LockScaleWorkers: []int{1, 4},
 	}
 }
 
@@ -68,9 +62,6 @@ func FullScale() Scale {
 		PathLens:        []int{2, 4, 8, 16, 32},
 		PartitionCounts: []int{2, 5, 10, 20},
 		WorkerCounts:    []int{1, 2, 4, 8, 16},
-
-		LockScaleMPLs:    []int{4, 16, 30},
-		LockScaleWorkers: []int{1, 2, 4, 8},
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/obs"
 	"repro/internal/oid"
 	"repro/internal/reorg"
 	"repro/internal/workload"
@@ -271,4 +272,95 @@ func TestClusterOrderPermutation(t *testing.T) {
 			t.Fatalf("clusterOrder dropped %v", o)
 		}
 	}
+}
+
+// TestTracedRunsStayConsistent is the tracing-enabled race/linearizability
+// stress: with a tracer installed process-wide, the parallel fleet and the
+// crash-recovery torture harness must still pass their own oracles (graph
+// signature, ERT exactness, counter prefix) — i.e. observability must be
+// purely passive. Run under -race this also proves the tracer's internals
+// are data-race free against every instrumented hot path at once.
+func TestTracedRunsStayConsistent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second stress")
+	}
+	tr := obs.NewTracer()
+	restore := obs.Install(tr)
+	defer restore()
+
+	p := workload.DefaultParams()
+	p.NumPartitions = 3
+	p.ObjectsPerPartition = 96
+	p.MPL = 6
+	res, err := RunParallel(ParallelConfig{
+		Params:  p,
+		DB:      db.DefaultConfig(),
+		Mode:    reorg.ModeIRATwoLock,
+		Workers: 3,
+		Warmup:  50 * time.Millisecond,
+		Drain:   50 * time.Millisecond,
+		Verify:  true,
+	})
+	if err != nil {
+		t.Fatalf("traced parallel fleet: %v", err)
+	}
+	if res.Fleet.Migrated == 0 {
+		t.Fatal("fleet migrated nothing")
+	}
+
+	if _, err := RunTorture(TortureConfig{Seed: 7, Mode: reorg.ModeIRA, CrashRounds: 2}); err != nil {
+		t.Fatalf("traced torture run: %v", err)
+	}
+
+	// The tracer must have seen both the transaction side and the
+	// migration side of the runs above.
+	if tr.Hist(obs.TxnCommit).Count == 0 || tr.Hist(obs.LockAcquire).Count == 0 {
+		t.Fatal("tracer recorded no hot-path samples")
+	}
+	if len(tr.Steps()) == 0 {
+		t.Fatal("tracer recorded no migration steps")
+	}
+	if _, total := tr.Spans(); total == 0 {
+		t.Fatal("tracer recorded no spans")
+	}
+}
+
+// TestLockScaleStressMPL16Workers8 is a -race stress cell: MPL 16
+// transaction threads against 8 fleet reorganization workers, with the
+// post-run consistency check on. Under -race this exercises every lock
+// manager path (grants, waits, timeouts, multi-bucket Finish) across
+// concurrently reorganizing partitions.
+func TestLockScaleStressMPL16Workers8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress cell skipped in -short mode")
+	}
+	p := workload.DefaultParams()
+	p.NumPartitions = 8
+	p.ObjectsPerPartition = 255
+	p.MPL = 16
+	p.CPUPerOp = 0
+	p.ReorgCPUPerObject = 0
+	dbc := db.DefaultConfig()
+	dbc.FlushLatency = 0
+	dbc.LockTimeout = 100 * time.Millisecond
+	res, err := RunParallel(ParallelConfig{
+		Params:  p,
+		DB:      dbc,
+		Mode:    reorg.ModeIRA,
+		Workers: 8,
+		Warmup:  50 * time.Millisecond,
+		Drain:   50 * time.Millisecond,
+		Verify:  true,
+	})
+	if err != nil {
+		t.Fatalf("RunParallel: %v", err)
+	}
+	if res.Fleet.Migrated == 0 {
+		t.Error("fleet migrated no objects")
+	}
+	if res.Fleet.Locks.Acquired == 0 {
+		t.Error("lock stats not surfaced in FleetStats")
+	}
+	t.Logf("migrated=%d tput=%.1f locks=%+v",
+		res.Fleet.Migrated, res.Summary.Throughput, res.Fleet.Locks)
 }

@@ -17,8 +17,8 @@ import (
 // bypassed, WAL group-append ring, reader-sharded latching, full
 // GOMAXPROCS). Each trajectory carries a BenchEnv stamp so a report
 // number can never be read without knowing which machine model produced
-// it — the striped lock manager "losing" at 8 goroutines, for example,
-// is correct in fidelity mode and a regression in hardware mode.
+// it — a migration-phase p99 measured behind one CPU token, for
+// example, says nothing about the same cell on every core.
 
 // BenchEnv stamps one bench trajectory with the execution mode and the
 // knobs that follow from it.

@@ -36,6 +36,53 @@ import (
 // The result is written as BENCH_oidmode.json (reorgbench -bench
 // oidmode) with one trajectory per execution mode.
 
+// InterferencePoint is one sampling window of one run.
+type InterferencePoint struct {
+	// TMs is the window's start, in ms since the measurement began
+	// (warmup excluded).
+	TMs        float64 `json:"t_ms"`
+	WindowMs   float64 `json:"window_ms"`
+	Throughput float64 `json:"tput_tps"`
+	P50Ms      float64 `json:"p50_ms"`
+	P99Ms      float64 `json:"p99_ms"`
+	MaxMs      float64 `json:"max_ms"`
+	Commits    int     `json:"commits"`
+	Aborts     int     `json:"aborts"`
+	// ReorgActive marks windows during which the reorganization ran.
+	ReorgActive bool `json:"reorg_active"`
+}
+
+// sampleWindow measures one window of the transaction stream.
+func sampleWindow(rec *metrics.Recorder, window time.Duration, base time.Time, active bool) InterferencePoint {
+	start := time.Now()
+	rec.StartWindow()
+	time.Sleep(window)
+	s := rec.Stop()
+	return InterferencePoint{
+		TMs:         float64(start.Sub(base)) / float64(time.Millisecond),
+		WindowMs:    float64(s.Window) / float64(time.Millisecond),
+		Throughput:  s.Throughput,
+		P50Ms:       ms(s.P50),
+		P99Ms:       ms(s.P99),
+		MaxMs:       ms(s.Max),
+		Commits:     s.Commits,
+		Aborts:      s.Aborts,
+		ReorgActive: active,
+	}
+}
+
+// meanOver averages f over the points at the given indices.
+func meanOver(points []InterferencePoint, idx []int, f func(InterferencePoint) float64) float64 {
+	if len(idx) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, i := range idx {
+		sum += f(points[i])
+	}
+	return sum / float64(len(idx))
+}
+
 // OIDModeCell is one addressing mode's sampled run.
 type OIDModeCell struct {
 	Addressing     string              `json:"addressing"` // "physical" or "logical"

@@ -576,6 +576,9 @@ func (c *queryCell) result() (int, error) {
 	return c.committed, c.viol
 }
 
+// errRoundStopped ends a query traversal whose round has stopped.
+var errRoundStopped = errors.New("torture: round stopped")
+
 // queryWorker runs full tree traversals through the query operators
 // while the round's fleet migrates the partitions underneath. Errors
 // end the attempt (the crash kills every transaction eventually);
@@ -594,8 +597,15 @@ func (w *tortureWorld) queryWorker(cell *queryCell, stop <-chan struct{}) {
 			return
 		default:
 		}
+		// Each attempt first checks stop, so once the round ends Run
+		// returns after the attempt in flight instead of retrying on.
 		res, err := query.Run(w.d, query.Options{MaxRestarts: 8, Backoff: time.Millisecond},
 			func(e *query.Exec) (query.Operator, error) {
+				select {
+				case <-stop:
+					return nil, errRoundStopped
+				default:
+				}
 				return query.NewFollowRefs(w.treeRoots, -1), nil
 			})
 		if err != nil {
@@ -1170,16 +1180,82 @@ func DefaultTorturePoints() []TorturePoint {
 type TortureSpec struct {
 	Seeds    int
 	SeedBase int64
-	Points   []TorturePoint
+	// Points is the crash-point list; nil means DefaultTorturePoints.
+	// A non-nil list is replayed by name, so it should be the default
+	// points whose names SelectTorturePoints would pick.
+	Points []TorturePoint
 	// Dir hosts file-backed WAL state; empty means a fresh temp dir.
 	Dir string
+}
+
+// SelectTorturePoints returns the default crash points whose name is in
+// the comma-separated list, in taxonomy order.
+func SelectTorturePoints(csv string) ([]TorturePoint, error) {
+	want := make(map[string]bool)
+	for _, p := range strings.Split(csv, ",") {
+		want[strings.TrimSpace(p)] = true
+	}
+	var sel []TorturePoint
+	for _, tp := range DefaultTorturePoints() {
+		if want[tp.Point] {
+			sel = append(sel, tp)
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("no crash points match %q", csv)
+	}
+	return sel, nil
+}
+
+// pointNames is the -points value that selects the spec's list again,
+// or "" for the default taxonomy.
+func (s TortureSpec) pointNames() string {
+	var names []string
+	seen := make(map[string]bool)
+	for _, p := range s.Points {
+		if !seen[p.Point] {
+			seen[p.Point] = true
+			names = append(names, p.Point)
+		}
+	}
+	return strings.Join(names, ",")
+}
+
+// cell is the run the sweep makes at seed. The crash point and the
+// CrashDuringRecovery, Chaos and QueryScan flags follow from the seed
+// alone, so a one-seed sweep from the same seed and point list runs the
+// same cell.
+func (s TortureSpec) cell(seed int64, dir string) TortureConfig {
+	points := s.Points
+	if len(points) == 0 {
+		points = DefaultTorturePoints()
+	}
+	n := int64(len(points))
+	pt := points[(seed%n+n)%n]
+	return TortureConfig{
+		Seed:                seed,
+		Point:               pt.Point,
+		Mode:                pt.Mode,
+		MaxHit:              pt.MaxHit,
+		FileWAL:             pt.FileWAL,
+		DiskBacked:          pt.DiskBacked,
+		LogicalOIDs:         pt.Logical || pt.StoreMove,
+		StoreMove:           pt.StoreMove,
+		Dir:                 dir,
+		CrashDuringRecovery: seed%3 == 0,
+		Chaos:               seed%2 != 0,
+		QueryScan:           seed%2 == 0,
+	}
 }
 
 // SweepFailure is one failed run of a sweep.
 type SweepFailure struct {
 	Seed  int64
 	Point string
-	Err   error
+	// Points is the sweep's -points value ("" for the default
+	// taxonomy): with the seed it selects the failing cell.
+	Points string
+	Err    error
 	// Trace is the tail of the (append, apply, evict, flush)
 	// interleaving captured around the failing run — the ordering
 	// context the load-sensitive failures lose by the time the checker
@@ -1189,8 +1265,11 @@ type SweepFailure struct {
 
 // ReplayLine is the deterministic reproduction recipe for a failure.
 func (f SweepFailure) ReplayLine() string {
-	return fmt.Sprintf("replay: seed=%d point=%s (reorgck -torture -seeds 1 -seedbase %d -points %s)",
-		f.Seed, f.Point, f.Seed, f.Point)
+	cmd := fmt.Sprintf("reorgck -torture -seeds 1 -seedbase %d", f.Seed)
+	if f.Points != "" {
+		cmd += " -points " + f.Points
+	}
+	return fmt.Sprintf("replay: seed=%d point=%s (%s)", f.Seed, f.Point, cmd)
 }
 
 // DumpTrace writes the captured interleaving tail to w, one event per
@@ -1206,15 +1285,12 @@ func (f SweepFailure) DumpTrace(w io.Writer, prefix string) {
 	}
 }
 
-// RunTortureSweep runs the seed matrix. Every third run interrupts
-// recovery and reruns it; every second run adds chaos noise. It
-// returns the failures (empty on a clean sweep) plus a hard error for
-// setup problems; w, if non-nil, receives one progress line per run.
+// RunTortureSweep runs the seed matrix. Every third seed interrupts
+// recovery and reruns it; every odd seed adds chaos noise and every even
+// one a query scan. It returns the failures (empty on a clean sweep)
+// plus a hard error for setup problems; w, if non-nil, receives one
+// progress line per run.
 func RunTortureSweep(w io.Writer, spec TortureSpec) ([]SweepFailure, error) {
-	points := spec.Points
-	if len(points) == 0 {
-		points = DefaultTorturePoints()
-	}
 	dir := spec.Dir
 	if dir == "" {
 		var err error
@@ -1225,23 +1301,9 @@ func RunTortureSweep(w io.Writer, spec TortureSpec) ([]SweepFailure, error) {
 	}
 	var failures []SweepFailure
 	for n := 0; n < spec.Seeds; n++ {
-		pt := points[n%len(points)]
 		seed := spec.SeedBase + int64(n)
 		runDir := filepath.Join(dir, fmt.Sprintf("run-%d", n))
-		cfg := TortureConfig{
-			Seed:                seed,
-			Point:               pt.Point,
-			Mode:                pt.Mode,
-			MaxHit:              pt.MaxHit,
-			FileWAL:             pt.FileWAL,
-			DiskBacked:          pt.DiskBacked,
-			LogicalOIDs:         pt.Logical || pt.StoreMove,
-			StoreMove:           pt.StoreMove,
-			Dir:                 runDir,
-			CrashDuringRecovery: n%3 == 0,
-			Chaos:               n%2 == 1,
-			QueryScan:           n%2 == 0,
-		}
+		cfg := spec.cell(seed, runDir)
 		// A fresh interleaving ring per run: on failure its tail shows
 		// the (append, apply, evict, flush) ordering that led up to the
 		// violation, which the deterministic replay alone cannot — the
@@ -1252,10 +1314,10 @@ func RunTortureSweep(w io.Writer, spec TortureSpec) ([]SweepFailure, error) {
 		res, err := RunTorture(cfg)
 		restoreRing()
 		if err != nil {
-			f := SweepFailure{Seed: seed, Point: pt.Point, Err: err, Trace: ring.Events()}
+			f := SweepFailure{Seed: seed, Point: cfg.Point, Points: spec.pointNames(), Err: err, Trace: ring.Events()}
 			failures = append(failures, f)
 			if w != nil {
-				fmt.Fprintf(w, "FAIL seed=%d point=%s: %v\n  %s\n", seed, pt.Point, err, f.ReplayLine())
+				fmt.Fprintf(w, "FAIL seed=%d point=%s: %v\n  %s\n", seed, cfg.Point, err, f.ReplayLine())
 				f.DumpTrace(w, "  ")
 			}
 			continue
@@ -1269,7 +1331,7 @@ func RunTortureSweep(w io.Writer, spec TortureSpec) ([]SweepFailure, error) {
 				}
 			}
 			fmt.Fprintf(w, "ok   seed=%-6d point=%-28s mode=%-10s lives=%d crashes=%d\n",
-				seed, pt.Point, pt.Mode, res.Lives, crashes)
+				seed, cfg.Point, cfg.Mode, res.Lives, crashes)
 		}
 	}
 	return failures, nil

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -94,4 +96,44 @@ func TestTortureCrashDuringRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
+}
+
+// TestTortureReplayLineRunsSameCell checks, for every cell of short
+// sweeps, that the one-seed sweep its replay line describes builds the
+// same TortureConfig (Dir aside) — with the default taxonomy and with a
+// -points list, from a nonzero and a negative seed base.
+func TestTortureReplayLineRunsSameCell(t *testing.T) {
+	listed, err := SelectTorturePoints("segment/write,reorg/parents-locked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []TortureSpec{
+		{Seeds: 3 * len(DefaultTorturePoints()), SeedBase: 380},
+		{Seeds: 12, SeedBase: -7, Points: listed},
+	} {
+		for n := 0; n < spec.Seeds; n++ {
+			ran := spec.cell(spec.SeedBase+int64(n), "")
+			line := SweepFailure{Seed: ran.Seed, Point: ran.Point, Points: spec.pointNames()}.ReplayLine()
+			args := strings.Fields(strings.TrimSuffix(line[strings.Index(line, "(")+1:], ")"))
+			replay := TortureSpec{}
+			for i := 0; i+1 < len(args); i++ {
+				switch args[i] {
+				case "-seeds":
+					replay.Seeds, _ = strconv.Atoi(args[i+1])
+				case "-seedbase":
+					replay.SeedBase, _ = strconv.ParseInt(args[i+1], 10, 64)
+				case "-points":
+					if replay.Points, err = SelectTorturePoints(args[i+1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if replay.Seeds != 1 {
+				t.Fatalf("%s: replays %d seeds, want 1", line, replay.Seeds)
+			}
+			if got := replay.cell(replay.SeedBase, ""); got != ran {
+				t.Fatalf("%s\nreplays %+v\nsweep ran %+v", line, got, ran)
+			}
+		}
+	}
 }

@@ -310,8 +310,10 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := read(&nSeq); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
+	// nSeq is untrusted: no size hint, so a corrupt count fails at the
+	// first missing entry instead of allocating for 2³² of them.
 	s := &Snapshot{
-		Seq:     make(map[oid.PartitionID]uint64, nSeq),
+		Seq:     make(map[oid.PartitionID]uint64),
 		Entries: make(map[oid.OID]oid.OID),
 	}
 	for i := uint32(0); i < nSeq; i++ {

@@ -2,6 +2,9 @@ package oidmap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -82,12 +85,19 @@ func TestPartitionEnumeration(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
+// snapshotMap is the 50-entry, four-partition map whose snapshot the
+// round-trip test and the fuzzer's seeds serialize.
+func snapshotMap() *Map {
 	m := New()
 	for i := 0; i < 50; i++ {
 		l := m.NextID(oid.PartitionID(i%4 + 1))
 		m.Set(l, oid.New(l.Partition(), oid.PageNum(i+1), oid.SlotNum(i)))
 	}
+	return m
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	m := snapshotMap()
 	snap := m.Snapshot()
 
 	var buf bytes.Buffer
@@ -128,6 +138,58 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatalf("garbage accepted")
 	}
+}
+
+// TestReadSnapshotHugeSeqCount is a valid magic followed by a sequence
+// count of 2³²−1 and nothing else. The count must not size an allocation:
+// the decoder has to fail at the first missing entry.
+func TestReadSnapshotHugeSeqCount(t *testing.T) {
+	in := binary.LittleEndian.AppendUint32(nil, snapMagic)
+	in = binary.LittleEndian.AppendUint32(in, 0xffffffff)
+	if _, err := ReadSnapshot(bytes.NewReader(in)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("ReadSnapshot = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes to ReadSnapshot. It must never
+// panic and may fail only with ErrBadSnapshot; a snapshot it accepts
+// must survive WriteTo and ReadSnapshot unchanged.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, snap := range []*Snapshot{snapshotMap().Snapshot(), New().Snapshot()} {
+		var buf bytes.Buffer
+		if _, err := snap.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		whole := buf.Bytes()
+		f.Add(whole)
+		for _, n := range []int{0, 3, 4, 8, 12, 20, len(whole) / 2, len(whole) - 1} {
+			if n <= len(whole) {
+				f.Add(whole[:n])
+			}
+		}
+	}
+	f.Add([]byte("not a snapshot"))
+	f.Add(make([]byte, 32))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		snap, err := ReadSnapshot(bytes.NewReader(in))
+		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("ReadSnapshot: unexpected error %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := snap.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		again, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("re-read of an accepted snapshot: %v", err)
+		}
+		if !reflect.DeepEqual(snap, again) {
+			t.Fatalf("accepted snapshot does not round-trip:\n%+v\n%+v", snap, again)
+		}
+	})
 }
 
 func TestApplyUndo(t *testing.T) {

@@ -623,7 +623,7 @@ func (s *Server) Close() {
 }
 
 // StatsSnapshot is the JSON-marshalable server state published on the
-// "server" expvar and stamped into netload reports.
+// "server" expvar.
 type StatsSnapshot struct {
 	LiveConns   int64  `json:"live_conns"`
 	QueuedConns int64  `json:"queued_conns"`
