@@ -18,9 +18,11 @@
 //	reorgck -mode hardware        # bypass the CPU token, group-commit WAL
 //
 // -alg selects the reorganization algorithm (ira, twolock, pqr); -mode
-// selects the execution mode (fidelity = paper's capacity-1 CPU token,
-// hardware = token bypassed with the multicore WAL/latching paths). The
-// mode defaults to $REORG_MODE, falling back to fidelity.
+// selects the execution mode: fidelity (the default) is the paper's
+// capacity-1 CPU token and timeout-only deadlocks; hardware applies the
+// explicit preset of harness.ApplyHardware (token bypassed, group
+// commit, deadlock detection) to the stress, serve, torture and
+// netchaos runs alike.
 //
 // With -torture it instead runs the seeded crash-recovery torture
 // sweep (see internal/harness.RunTorture): crash at schedule-chosen
@@ -43,6 +45,7 @@
 // committed-prefix oracle, tree signature, and leak sweep must all hold:
 //
 //	reorgck -netchaos -seed 7
+//	reorgck -netchaos -mode hardware
 package main
 
 import (
@@ -61,7 +64,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/db"
 	"repro/internal/harness"
-	"repro/internal/hwmode"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/oid"
@@ -77,7 +79,7 @@ func main() {
 		objects    = flag.Int("objects", 1020, "objects per partition")
 		mpl        = flag.Int("mpl", 10, "concurrent transaction threads")
 		algName    = flag.String("alg", "ira", "reorganization algorithm: ira, twolock, pqr")
-		hwName     = flag.String("mode", "", "execution mode: fidelity or hardware (default: $REORG_MODE, else fidelity)")
+		hwName     = flag.String("mode", "fidelity", "execution mode: fidelity or hardware")
 		batch      = flag.Int("batch", 1, "object migrations per transaction (ira)")
 		rounds     = flag.Int("rounds", 1, "times to reorganize every partition")
 		workers    = flag.Int("workers", 1, "scheduler worker pool size; >1 reorganizes partitions concurrently")
@@ -93,29 +95,33 @@ func main() {
 		httpAddr   = flag.String("http", "", "serve expvar + pprof on this address (e.g. :6060)")
 	)
 	flag.Parse()
-	if *hwName != "" {
-		execMode, err := hwmode.Parse(*hwName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Every construction path (workload defaults, db.Open) consults
-		// $REORG_MODE, so exporting the parsed flag applies the mode to
-		// the stress and torture runs alike.
-		os.Setenv("REORG_MODE", string(execMode))
+	execMode, err := harness.ParseMode(*hwName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	params := workload.DefaultParams()
+	params.NumPartitions = *partitions
+	params.ObjectsPerPartition = *objects
+	params.MPL = *mpl
+	params.Seed = *seed
+	cfg := db.DefaultConfig()
+	hardware := execMode == harness.Hardware
+	if hardware {
+		harness.ApplyHardware(&params, &cfg)
 	}
 	if *httpAddr != "" {
 		obs.ServeDebug(*httpAddr)
 	}
 
 	if *torture {
-		os.Exit(runTorture(*seeds, *seedbase, *points))
+		os.Exit(runTorture(*seeds, *seedbase, *points, hardware))
 	}
 	if *netchaos {
-		os.Exit(runNetChaos(*seed, *mpl, *chaosDur))
+		os.Exit(runNetChaos(*seed, *mpl, *chaosDur, hardware))
 	}
 	if *serveAddr != "" {
-		os.Exit(runServe(*serveAddr, *partitions, *objects, *seed))
+		os.Exit(runServe(*serveAddr, params, cfg))
 	}
 
 	var mode reorg.Mode
@@ -131,14 +137,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	params := workload.DefaultParams()
-	params.NumPartitions = *partitions
-	params.ObjectsPerPartition = *objects
-	params.MPL = *mpl
-	params.Seed = *seed
-
 	fmt.Printf("building %d partitions × %d objects...\n", *partitions, *objects)
-	w, err := workload.Build(db.DefaultConfig(), params)
+	w, err := workload.Build(cfg, params)
 	if err != nil {
 		fatal(err)
 	}
@@ -328,14 +328,9 @@ func fatal(err error) {
 // new transactions are rejected with DRAINING, in-flight ones get a
 // grace period to finish. Roots are published through the catalog as
 // "roots/<partition>". Returns the process exit code.
-func runServe(addr string, partitions, objects int, seed int64) int {
-	params := workload.DefaultParams()
-	params.NumPartitions = partitions
-	params.ObjectsPerPartition = objects
-	params.Seed = seed
-
-	fmt.Printf("building %d partitions × %d objects...\n", partitions, objects)
-	w, err := workload.Build(db.DefaultConfig(), params)
+func runServe(addr string, params workload.Params, cfg db.Config) int {
+	fmt.Printf("building %d partitions × %d objects...\n", params.NumPartitions, params.ObjectsPerPartition)
+	w, err := workload.Build(cfg, params)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -360,7 +355,7 @@ func runServe(addr string, partitions, objects int, seed int64) int {
 	obs.RegisterServerStats(func() any { return srv.StatsSnapshot() })
 
 	fmt.Printf("serving on %s (roots under \"roots/1\"..\"roots/%d\"; SIGINT drains)\n",
-		lnAddr, partitions)
+		lnAddr, params.NumPartitions)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -377,11 +372,12 @@ func runServe(addr string, partitions, objects int, seed int64) int {
 
 // runNetChaos executes the socket-chaos cell and returns the process
 // exit code.
-func runNetChaos(seed int64, mpl int, dur time.Duration) int {
+func runNetChaos(seed int64, mpl int, dur time.Duration, hardware bool) int {
 	res, err := harness.RunNetChaos(os.Stdout, harness.NetChaosConfig{
 		Seed:     seed,
 		MPL:      mpl,
 		Duration: dur,
+		Hardware: hardware,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -395,7 +391,7 @@ func runNetChaos(seed int64, mpl int, dur time.Duration) int {
 // runTorture executes the seeded crash-recovery sweep and returns the
 // process exit code: 0 on a clean sweep, 1 on any invariant violation,
 // 2 on usage errors.
-func runTorture(seeds int, seedbase int64, pointsCSV string) int {
+func runTorture(seeds int, seedbase int64, pointsCSV string, hardware bool) int {
 	var pts []harness.TorturePoint
 	if pointsCSV != "" {
 		var err error
@@ -416,6 +412,7 @@ func runTorture(seeds int, seedbase int64, pointsCSV string) int {
 		Seeds:    seeds,
 		SeedBase: seedbase,
 		Points:   pts,
+		Hardware: hardware,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -24,9 +24,8 @@ func main() {
 	cfg := db.DefaultConfig()
 	cfg.PageSize = 1024 // small pages make locality visible
 	// The filler sweep below records physical store addresses as
-	// references; pin physical addressing so REORG_LOGICAL_OID cannot
-	// reinterpret them as logical identities.
-	cfg.PhysicalOIDs = true
+	// references, which is right because the default addressing is
+	// physical.
 	// The scanners hold shared locks down the list while the reorganizer
 	// repoints each element's parent, so the two deadlock a few hundred
 	// times per run; each deadlock stalls until the lock timeout. At the

@@ -20,8 +20,7 @@ import (
 
 func main() {
 	// A disk-backed database (DataDir empty = temp dir removed on
-	// Close) with the indirection table switched on. LogicalOIDs set
-	// explicitly wins over the REORG_LOGICAL_OID environment sweep.
+	// Close) with the indirection table switched on.
 	cfg := db.DefaultConfig()
 	cfg.DiskBacked = true
 	cfg.LogicalOIDs = true

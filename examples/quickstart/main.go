@@ -18,11 +18,9 @@ func main() {
 	// Open a database: strict two-phase locking, write-ahead logging,
 	// 8 KiB slotted pages. This example demonstrates PHYSICAL references
 	// — the paper's headline setting, where reorganization must rewrite
-	// parents — so it pins that mode regardless of REORG_LOGICAL_OID
-	// (see examples/logicaloids for the indirection-table mode).
-	cfg := db.DefaultConfig()
-	cfg.PhysicalOIDs = true
-	d := db.Open(cfg)
+	// parents, and the default (see examples/logicaloids for the
+	// indirection-table mode).
+	d := db.Open(db.DefaultConfig())
 	defer d.Close()
 
 	// Partition 0 holds the persistent root; partition 1 the data.

@@ -12,13 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/analyzer"
 	"repro/internal/ert"
-	"repro/internal/hwmode"
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/object"
@@ -44,7 +42,7 @@ type Config struct {
 	// waits-for graph whenever a request queues, and when a cycle forms
 	// the member whose timeout would fire first fails at once
 	// (lock.ErrDeadlock, an ErrTimeout).
-	// DefaultConfig sets it; REORG_MODE=hardware clears it.
+	// DefaultConfig sets it.
 	TimeoutDeadlocks bool
 	// FlushLatency simulates the log device write time; commits wait for
 	// a group-commit flush covering their commit record.
@@ -63,9 +61,7 @@ type Config struct {
 	LogSegmentBytes int
 	// DiskBacked puts the object store on disk: pages live in
 	// per-partition segment files under DataDir and the page table acts
-	// as a buffer pool of PoolFrames frames. Setting REORG_DISK_BACKED=1
-	// in the environment forces this mode on (tests run the whole suite
-	// in both modes that way).
+	// as a buffer pool of PoolFrames frames.
 	DiskBacked bool
 	// DataDir is the segment directory for DiskBacked mode. Empty means
 	// a temporary directory that is removed on Close.
@@ -75,34 +71,27 @@ type Config struct {
 	PoolFrames int
 	// GroupCommit routes WAL appends through the flat-combining ring so
 	// concurrent committers batch into one log-mutex acquisition and
-	// piggyback on one device sync. Setting REORG_MODE=hardware turns it
-	// on by default; fidelity mode leaves the per-append mutex path,
-	// whose serialization is part of the simulated uniprocessor.
+	// piggyback on one device sync. Off, the per-append mutex path's
+	// serialization is part of the simulated uniprocessor.
 	GroupCommit bool
 	// WALPerCommitSync makes every committer wait only for its own
 	// record's durability instead of joining the group-commit flush.
 	// This is the naive-baseline configuration the hardware-mode bench
 	// compares group commit against; not intended for normal use.
 	WALPerCommitSync bool
-	// ReaderShards is the reader-shard count for partition mutexes and
-	// latch stripes (see internal/shard). 0 selects 1 in fidelity mode
-	// and the host's shard count under REORG_MODE=hardware.
+	// ReaderShards has no effect: partition mutexes and latch stripes
+	// are plain RWMutexes. It is kept only because the benchmark sets it.
 	ReaderShards int
 	// LogicalOIDs interposes a logical→physical indirection table
 	// (internal/oidmap) between object identities and their storage
 	// addresses. References then hold logical OIDs that survive
 	// relocation, so a reorganization updates one map entry per migrated
 	// object instead of rewriting every parent; every dereference pays
-	// one sharded map probe. Setting REORG_LOGICAL_OID=1 in the
-	// environment forces the mode on; explicit config always wins.
+	// one sharded map probe. A database opened with a recovered map is
+	// logical whatever this says.
 	LogicalOIDs bool
-	// PhysicalOIDs pins direct physical addressing, overriding
-	// REORG_LOGICAL_OID. Address-sensitive code — tests that assert
-	// objects move, benchmarks pairing a physical baseline against a
-	// logical cell — sets it so the environment's mode sweep cannot
-	// change its semantics. Ignored when LogicalOIDs is set explicitly
-	// or when a recovered indirection map is supplied: a database that
-	// has a map is logical, full stop.
+	// PhysicalOIDs has no effect: addressing is physical unless
+	// LogicalOIDs is set. It is kept only because the benchmark sets it.
 	PhysicalOIDs bool
 }
 
@@ -155,31 +144,12 @@ type Database struct {
 // Open creates an empty database.
 func Open(cfg Config) *Database { return openDB(cfg, nil, nil) }
 
-// OpenWithStore builds a Database around an existing store. Restart
-// recovery uses it after rebuilding the store image from a checkpoint
-// snapshot plus the log; callers should normally follow with RebuildERTs.
-func OpenWithStore(cfg Config, st *storage.Store) *Database {
-	return openDB(cfg, st, nil)
-}
-
-// OpenWithState is OpenWithStore plus a recovered OID indirection map.
-// Restart recovery in logical-OID mode passes the map it rebuilt from
-// the checkpoint snapshot and the log suffix.
+// OpenWithState builds a Database around an existing store and, in
+// logical-OID mode, its indirection map (nil otherwise). Restart
+// recovery uses it after rebuilding both from a checkpoint snapshot plus
+// the log; callers should normally follow with RebuildERTs.
 func OpenWithState(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
 	return openDB(cfg, st, m)
-}
-
-// envDiskBacked reports whether REORG_DISK_BACKED requests disk mode.
-func envDiskBacked() bool {
-	v := os.Getenv("REORG_DISK_BACKED")
-	return v != "" && v != "0" && !strings.EqualFold(v, "false")
-}
-
-// envLogicalOIDs reports whether REORG_LOGICAL_OID requests logical-OID
-// mode.
-func envLogicalOIDs() bool {
-	v := os.Getenv("REORG_LOGICAL_OID")
-	return v != "" && v != "0" && !strings.EqualFold(v, "false")
 }
 
 func openDB(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
@@ -196,28 +166,11 @@ func openDB(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
 	if cfg.LatchStripes == 0 {
 		cfg.LatchStripes = def.LatchStripes
 	}
-	// Hardware mode (REORG_MODE=hardware) forces group commit and
-	// waits-for deadlock detection on, mirroring how REORG_DISK_BACKED
-	// forces disk mode.
-	if hwmode.Enabled() {
-		cfg.GroupCommit = true
-		cfg.TimeoutDeadlocks = false
-	}
-	if cfg.ReaderShards == 0 {
-		if hwmode.Enabled() {
-			cfg.ReaderShards = hwmode.ReaderShards()
-		} else {
-			cfg.ReaderShards = 1
-		}
-	}
-	if !cfg.LogicalOIDs && (m != nil || (envLogicalOIDs() && !cfg.PhysicalOIDs)) {
+	if m != nil {
 		cfg.LogicalOIDs = true
 	}
 	ownsDataDir := false
 	if st == nil {
-		if !cfg.DiskBacked && envDiskBacked() {
-			cfg.DiskBacked = true
-		}
 		if cfg.DiskBacked {
 			if cfg.DataDir == "" {
 				dir, err := os.MkdirTemp("", "reorg-segments-")
@@ -229,14 +182,12 @@ func openDB(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
 			}
 			var err error
 			st, err = storage.NewDiskBacked(cfg.DataDir, cfg.PoolFrames,
-				storage.WithPageSize(cfg.PageSize), storage.WithFillFactor(cfg.FillFactor),
-				storage.WithReaderShards(cfg.ReaderShards))
+				storage.WithPageSize(cfg.PageSize), storage.WithFillFactor(cfg.FillFactor))
 			if err != nil {
 				panic(fmt.Sprintf("db: open segment directory: %v", err))
 			}
 		} else {
-			st = storage.New(storage.WithPageSize(cfg.PageSize), storage.WithFillFactor(cfg.FillFactor),
-				storage.WithReaderShards(cfg.ReaderShards))
+			st = storage.New(storage.WithPageSize(cfg.PageSize), storage.WithFillFactor(cfg.FillFactor))
 		}
 	} else {
 		// Keep cfg truthful for recovery and stats consumers.
@@ -252,7 +203,7 @@ func openDB(cfg Config, st *storage.Store, m *oidmap.Map) *Database {
 		ownsDataDir: ownsDataDir,
 		locks: lock.NewManager(lock.WithTimeout(cfg.LockTimeout), lock.WithHistory(!cfg.Strict2PL),
 			lock.WithDeadlockDetection(!cfg.TimeoutDeadlocks)),
-		latches: latch.NewSharded(cfg.LatchStripes, cfg.ReaderShards),
+		latches: latch.New(cfg.LatchStripes),
 		an:      analyzer.New(),
 		active:  make(map[lock.TxnID]*Txn),
 	}
@@ -292,9 +243,6 @@ func (d *Database) Locks() *lock.Manager { return d.locks }
 
 // Log exposes the WAL.
 func (d *Database) Log() *wal.Log { return d.log }
-
-// Latches exposes the object latch table.
-func (d *Database) Latches() *latch.Table { return d.latches }
 
 // Analyzer exposes the log analyzer.
 func (d *Database) Analyzer() *analyzer.Analyzer { return d.an }
@@ -510,14 +458,14 @@ func (d *Database) StopReorgTRT(part oid.PartitionID) {
 func (d *Database) FuzzyRead(o oid.OID) (object.Object, error) {
 	var obj object.Object
 	var derr error
-	tok := d.latches.RLatch(o)
+	d.latches.RLatch(o)
 	phys, err := d.resolve(o)
 	if err == nil {
 		err = d.store.View(phys, func(data []byte) {
 			obj, derr = object.Decode(data)
 		})
 	}
-	d.latches.RUnlatch(o, tok)
+	d.latches.RUnlatch(o)
 	if err != nil {
 		return object.Object{}, err
 	}
@@ -528,14 +476,14 @@ func (d *Database) FuzzyRead(o oid.OID) (object.Object, error) {
 func (d *Database) FuzzyReadRefs(o oid.OID) ([]oid.OID, error) {
 	var refs []oid.OID
 	var derr error
-	tok := d.latches.RLatch(o)
+	d.latches.RLatch(o)
 	phys, err := d.resolve(o)
 	if err == nil {
 		err = d.store.View(phys, func(data []byte) {
 			refs, derr = object.DecodeRefs(data)
 		})
 	}
-	d.latches.RUnlatch(o, tok)
+	d.latches.RUnlatch(o)
 	if err != nil {
 		return nil, err
 	}

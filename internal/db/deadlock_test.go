@@ -20,7 +20,6 @@ func TestDeadlockModes(t *testing.T) {
 	const timeout = 500 * time.Millisecond
 	for _, timeoutOnly := range []bool{true, false} {
 		t.Run(fmt.Sprintf("TimeoutDeadlocks=%v", timeoutOnly), func(t *testing.T) {
-			t.Setenv("REORG_MODE", "fidelity")
 			cfg := testConfig()
 			cfg.LockTimeout = timeout
 			cfg.TimeoutDeadlocks = timeoutOnly
@@ -112,17 +111,24 @@ func TestDeadlockModes(t *testing.T) {
 	}
 }
 
-// TestHardwareModeDetectsDeadlocks: DefaultConfig keeps the paper's
-// timeout-only rule, and REORG_MODE=hardware clears it.
-func TestHardwareModeDetectsDeadlocks(t *testing.T) {
-	for mode, want := range map[string]bool{"fidelity": true, "hardware": false} {
-		t.Run(mode, func(t *testing.T) {
-			t.Setenv("REORG_MODE", mode)
-			d := Open(DefaultConfig())
-			defer d.Close()
-			if got := d.Config().TimeoutDeadlocks; got != want {
-				t.Fatalf("TimeoutDeadlocks = %v, want %v", got, want)
-			}
-		})
+// TestOpenIgnoresEnvironment: the environment variables that once
+// rewrote a Config change nothing; DefaultConfig opens a memory,
+// physical, timeout-only database.
+func TestOpenIgnoresEnvironment(t *testing.T) {
+	t.Setenv("REORG_MODE", "hardware")
+	t.Setenv("REORG_DISK_BACKED", "1")
+	t.Setenv("REORG_LOGICAL_OID", "1")
+	d := Open(DefaultConfig())
+	defer d.Close()
+	cfg := d.Config()
+	if d.Store().DiskBacked() || cfg.DiskBacked {
+		t.Error("store is disk-backed")
+	}
+	if d.OIDMap() != nil || cfg.LogicalOIDs {
+		t.Error("OIDs are logical")
+	}
+	if !cfg.TimeoutDeadlocks || cfg.GroupCommit || d.Log().GroupAppend() {
+		t.Errorf("TimeoutDeadlocks = %v, group commit = %v, want the paper's engine",
+			cfg.TimeoutDeadlocks, d.Log().GroupAppend())
 	}
 }

@@ -1,11 +1,14 @@
-package db
+package db_test
 
 import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/db"
 	"repro/internal/oid"
+	"repro/internal/testkit"
 )
 
 // modelObj mirrors one object's committed state.
@@ -27,14 +30,16 @@ func (m modelObj) clone() modelObj {
 // partial rollbacks, commits and aborts — mirroring every operation into
 // a plain-map model with the same commit/abort semantics, and requires
 // exact agreement with the committed database state after every
-// transaction.
+// transaction, in every cell of the configuration matrix.
 func TestTransactionModelEquivalence(t *testing.T) {
-	// The model keys committed state by the addresses a physical store
-	// scan yields; pin physical so the REORG_LOGICAL_OID lane keeps the
-	// comparison exact.
-	cfg := testConfig()
-	cfg.PhysicalOIDs = true
-	d := Open(cfg)
+	testkit.Run(t, testkit.Pairwise, testTransactionModel)
+}
+
+func testTransactionModel(t *testing.T, c testkit.Cell) {
+	cfg := db.DefaultConfig()
+	cfg.FlushLatency = 0
+	cfg.LockTimeout = 200 * time.Millisecond
+	d := db.Open(c.Config(t, cfg))
 	for i := 0; i < 3; i++ {
 		if err := d.CreatePartition(oid.PartitionID(i)); err != nil {
 			t.Fatal(err)
@@ -67,10 +72,13 @@ func TestTransactionModelEquivalence(t *testing.T) {
 	}
 
 	for txnum := 0; txnum < 400; txnum++ {
-		tx := mustBegin(t, d)
+		tx, err := d.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
 		pending := cloneAll() // the transaction's view
 		type savept struct {
-			sp    Savepoint
+			sp    db.Savepoint
 			state map[oid.OID]modelObj
 		}
 		var saves []savept
@@ -223,41 +231,36 @@ func TestTransactionModelEquivalence(t *testing.T) {
 }
 
 // compareModel asserts the database's committed objects equal the model.
-func compareModel(t *testing.T, d *Database, committed map[oid.OID]modelObj) {
+func compareModel(t *testing.T, d *db.Database, committed map[oid.OID]modelObj) {
 	t.Helper()
 	seen := 0
 	for _, part := range d.Partitions() {
-		d.Store().ForEach(part, func(o oid.OID, _ []byte) bool {
+		oids, err := d.PartitionOIDs(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range oids {
 			mo, ok := committed[o]
 			if !ok {
-				t.Errorf("object %v exists in db but not in model", o)
-				return false
+				t.Fatalf("object %v exists in db but not in model", o)
 			}
 			obj, err := d.FuzzyRead(o)
 			if err != nil {
-				t.Errorf("read %v: %v", o, err)
-				return false
+				t.Fatalf("read %v: %v", o, err)
 			}
 			if !bytes.Equal(obj.Payload, mo.payload) {
-				t.Errorf("object %v payload mismatch", o)
-				return false
+				t.Fatalf("object %v payload mismatch", o)
 			}
 			if len(obj.Refs) != len(mo.refs) {
-				t.Errorf("object %v has %d refs, model %d", o, len(obj.Refs), len(mo.refs))
-				return false
+				t.Fatalf("object %v has %d refs, model %d", o, len(obj.Refs), len(mo.refs))
 			}
 			for i := range obj.Refs {
 				if obj.Refs[i] != mo.refs[i] {
-					t.Errorf("object %v ref %d mismatch", o, i)
-					return false
+					t.Fatalf("object %v ref %d mismatch", o, i)
 				}
 			}
 			seen++
-			return true
-		})
-	}
-	if t.Failed() {
-		t.FailNow()
+		}
 	}
 	if seen != len(committed) {
 		t.Fatalf("db holds %d objects, model %d", seen, len(committed))

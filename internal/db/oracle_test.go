@@ -13,12 +13,12 @@ import (
 	"repro/internal/db"
 	"repro/internal/oid"
 	"repro/internal/reorg"
+	"repro/internal/testkit"
 )
 
-// The equivalence oracle, over the four cells of the
-// {memory, disk} × {physical, logical} grid. Within one addressing
-// mode the in-memory and disk-backed stores must be observationally
-// identical: both share every layout decision (first-fit cursor, dense
+// The equivalence oracle, over the configuration matrix with the store
+// axis in full. Within one addressing mode and engine the in-memory and
+// disk-backed stores must be observationally identical: both share every layout decision (first-fit cursor, dense
 // floor, page extension), and the buffer pool only decides residency,
 // never placement — so replaying one schedule of operations, aborts,
 // and a mid-stream reorganization must produce identical OIDs,
@@ -375,28 +375,20 @@ func runOracle(t *testing.T, d *db.Database, ops []oracleOp) oracleRun {
 	return oracleRun{results: results, reads: reads, sig: sig, abstract: w.abstract(t)}
 }
 
-func oracleConfig(diskDir string, logical bool) db.Config {
+func oracleConfig(t *testing.T, c testkit.Cell) db.Config {
 	cfg := db.DefaultConfig()
 	cfg.PageSize = 1024 // small pages: more eviction traffic per op
 	cfg.FlushLatency = 0
 	cfg.LockTimeout = 2 * time.Second
-	if diskDir != "" {
-		cfg.DiskBacked = true
-		cfg.DataDir = diskDir
+	cfg = c.Config(t, cfg)
+	if c.Disk {
 		cfg.PoolFrames = 4 // far below the working set: evict constantly
-	}
-	// Pin the addressing mode explicitly so the grid stays a grid under
-	// the REORG_LOGICAL_OID=1 CI lane.
-	if logical {
-		cfg.LogicalOIDs = true
-	} else {
-		cfg.PhysicalOIDs = true
 	}
 	return cfg
 }
 
 // sameCell asserts exact observational equality between the memory and
-// disk runs of one addressing mode.
+// disk runs of one addressing mode and engine.
 func sameCell(t *testing.T, seed int64, mode string, mem, dsk oracleRun) bool {
 	t.Helper()
 	if !reflect.DeepEqual(mem.results, dsk.results) {
@@ -422,8 +414,9 @@ func sameCell(t *testing.T, seed int64, mode string, mem, dsk oracleRun) bool {
 }
 
 // TestDiskMemoryEquivalence is the oracle proper, driven by
-// testing/quick over schedule seeds: one schedule replayed against all
-// four {memory, disk} × {physical, logical} cells.
+// testing/quick over schedule seeds: one schedule replayed against each
+// pairwise cell of the configuration matrix and against its twin on the
+// other store.
 func TestDiskMemoryEquivalence(t *testing.T) {
 	nOps := 120
 	maxCount := 5
@@ -432,36 +425,35 @@ func TestDiskMemoryEquivalence(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		ops := oracleSchedule(seed, nOps)
-		runs := make(map[string]oracleRun, 4)
-		for _, cell := range []struct {
-			name    string
-			logical bool
-		}{{"physical", false}, {"logical", true}} {
-			mem := db.Open(oracleConfig("", cell.logical))
+		runs := make(map[string]oracleRun, 2*len(testkit.Pairwise))
+		for _, c := range testkit.Pairwise {
+			memCell, dskCell := c, c
+			memCell.Disk, dskCell.Disk = false, true
+			mem := db.Open(oracleConfig(t, memCell))
 			memRun := runOracle(t, mem, ops)
 			mem.Close()
 
-			dsk := db.Open(oracleConfig(t.TempDir(), cell.logical))
+			dsk := db.Open(oracleConfig(t, dskCell))
 			dskRun := runOracle(t, dsk, ops)
 			if pinned := dsk.Store().PoolStats().Pinned; pinned != 0 {
-				t.Errorf("seed %d (%s): %d frames left pinned", seed, cell.name, pinned)
+				t.Errorf("seed %d (%s): %d frames left pinned", seed, dskCell, pinned)
 				return false
 			}
 			dsk.Close()
 
-			if !sameCell(t, seed, cell.name, memRun, dskRun) {
+			if !sameCell(t, seed, memCell.String(), memRun, dskRun) {
 				return false
 			}
-			runs["mem-"+cell.name] = memRun
-			runs["disk-"+cell.name] = dskRun
+			runs[memCell.String()] = memRun
+			runs[dskCell.String()] = dskRun
 		}
 		// Across addressing modes the OIDs differ by design; the
 		// address-free projection must not.
-		want := runs["mem-physical"].abstract
+		want := runs[testkit.Cell{}.String()].abstract
 		for name, run := range runs {
 			if !reflect.DeepEqual(run.abstract, want) {
-				t.Errorf("seed %d: %s abstract graph diverges from mem-physical (%d vs %d nodes)",
-					seed, name, len(run.abstract), len(want))
+				t.Errorf("seed %d: %s abstract graph diverges from %s (%d vs %d nodes)",
+					seed, name, testkit.Cell{}, len(run.abstract), len(want))
 				return false
 			}
 		}

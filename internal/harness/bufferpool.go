@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/db"
-	"repro/internal/hwmode"
 	"repro/internal/oid"
 	"repro/internal/reorg"
 )
@@ -110,7 +109,7 @@ func RunBufferpool(w io.Writer, sc Scale, out string) error {
 // and hardware numbers should agree within noise — the pair is the
 // sanity check that the hardware-mode WAL and latching changes do not
 // disturb placement or the pool's fault accounting.
-func runBufferpoolOnce(w io.Writer, sc Scale, mode hwmode.Mode) (*BufferpoolReport, error) {
+func runBufferpoolOnce(w io.Writer, sc Scale, mode Mode) (*BufferpoolReport, error) {
 	objects, payload, frames, scans := 1536, 160, 16, 3
 	if sc.Name == "full" {
 		objects, scans = 6144, 5

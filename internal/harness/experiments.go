@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/hwmode"
 	"repro/internal/workload"
 )
 
@@ -28,7 +27,7 @@ type Scale struct {
 	WorkerCounts []int
 	// Modes lists the execution modes every bench harness sweeps; empty
 	// means both (fidelity first). The cmds' -mode flag narrows it.
-	Modes []hwmode.Mode
+	Modes []Mode
 }
 
 // QuickScale is sized so the full experiment suite completes in minutes.

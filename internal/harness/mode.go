@@ -6,57 +6,66 @@ import (
 	"strings"
 
 	"repro/internal/db"
-	"repro/internal/hwmode"
 	"repro/internal/workload"
 )
 
-// Every bench harness in this package emits dual trajectories: one run
-// in paper-fidelity mode (capacity-1 CPU token, single-mutex WAL
-// append, plain RWMutex latching — the configuration the paper's
-// uniprocessor shapes are valid in) and one in hardware mode (token
-// bypassed, WAL group-append ring, reader-sharded latching, full
-// GOMAXPROCS). Each trajectory carries a BenchEnv stamp so a report
-// number can never be read without knowing which machine model produced
-// it — a migration-phase p99 measured behind one CPU token, for
-// example, says nothing about the same cell on every core.
+// Mode names an execution mode. Fidelity is the paper's testbed: a
+// capacity-1 CPU token, the single-mutex WAL append and timeout-only
+// deadlocks, the configuration its uniprocessor shapes are valid in.
+// Hardware adds the ApplyHardware preset to run as fast as the host
+// allows.
+type Mode string
 
-// BenchEnv stamps one bench trajectory with the execution mode and the
-// knobs that follow from it.
-type BenchEnv struct {
-	Mode         string `json:"mode"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	NumCPU       int    `json:"num_cpu"`
-	CPUTokens    int    `json:"cpu_tokens"`
-	GroupCommit  bool   `json:"group_commit"`
-	ReaderShards int    `json:"reader_shards"`
+// The two execution modes.
+const (
+	Fidelity Mode = "fidelity"
+	Hardware Mode = "hardware"
+)
+
+// ParseMode maps a -mode flag value to a Mode; "" means Fidelity.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", string(Fidelity):
+		return Fidelity, nil
+	case string(Hardware), "hw":
+		return Hardware, nil
+	}
+	return "", fmt.Errorf("unknown mode %q (fidelity or hardware)", s)
 }
 
-// applyMode rewrites the workload parameters and database configuration
-// for one trajectory of a dual-mode bench and returns the matching
-// stamp. Either pointer may be nil when the bench has no workload (or
-// no database) to configure.
-func applyMode(m hwmode.Mode, p *workload.Params, cfg *db.Config) BenchEnv {
-	env := BenchEnv{
-		Mode:       string(m),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	switch m {
-	case hwmode.Hardware:
-		env.CPUTokens = 0
-		env.GroupCommit = true
-		env.ReaderShards = hwmode.ReaderShards()
-	default:
-		env.CPUTokens = 1
-		env.GroupCommit = false
-		env.ReaderShards = 1
-	}
+// ApplyHardware applies the hardware preset: the CPU token is bypassed,
+// WAL appends go through the group-commit ring, and the lock manager
+// detects deadlocks when a request queues. Either pointer may be nil.
+func ApplyHardware(p *workload.Params, cfg *db.Config) {
 	if p != nil {
-		p.CPUTokens = env.CPUTokens
+		p.CPUTokens = 0
 	}
 	if cfg != nil {
-		cfg.GroupCommit = env.GroupCommit
-		cfg.ReaderShards = env.ReaderShards
+		cfg.GroupCommit = true
+		cfg.TimeoutDeadlocks = false
+	}
+}
+
+// BenchEnv stamps one trajectory of a dual-mode bench (every bench here
+// runs one per mode) with the execution mode and the knobs that follow
+// from it, so a report number is never read without knowing which
+// machine model produced it.
+type BenchEnv struct {
+	Mode        string `json:"mode"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	NumCPU      int    `json:"num_cpu"`
+	CPUTokens   int    `json:"cpu_tokens"`
+	GroupCommit bool   `json:"group_commit"`
+}
+
+// applyMode configures a trajectory's workload parameters and database
+// configuration, which start from their fidelity defaults, and returns
+// its stamp. Either pointer may be nil.
+func applyMode(m Mode, p *workload.Params, cfg *db.Config) BenchEnv {
+	env := BenchEnv{Mode: string(m), GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), CPUTokens: 1}
+	if m == Hardware {
+		ApplyHardware(p, cfg)
+		env.CPUTokens, env.GroupCommit = 0, true
 	}
 	return env
 }
@@ -64,22 +73,22 @@ func applyMode(m hwmode.Mode, p *workload.Params, cfg *db.Config) BenchEnv {
 // ParseModes maps a -mode flag value to the trajectory list: "fidelity"
 // or "hardware" select one, "both" (and "") selects both in fidelity-
 // first order.
-func ParseModes(s string) ([]hwmode.Mode, error) {
+func ParseModes(s string) ([]Mode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "both":
-		return []hwmode.Mode{hwmode.Fidelity, hwmode.Hardware}, nil
+		return []Mode{Fidelity, Hardware}, nil
 	}
-	m, err := hwmode.Parse(s)
+	m, err := ParseMode(s)
 	if err != nil {
 		return nil, fmt.Errorf("-mode: %w (or \"both\")", err)
 	}
-	return []hwmode.Mode{m}, nil
+	return []Mode{m}, nil
 }
 
 // modes returns the Scale's trajectory list, defaulting to both.
-func (sc Scale) modes() []hwmode.Mode {
+func (sc Scale) modes() []Mode {
 	if len(sc.Modes) == 0 {
-		return []hwmode.Mode{hwmode.Fidelity, hwmode.Hardware}
+		return []Mode{Fidelity, Hardware}
 	}
 	return sc.Modes
 }

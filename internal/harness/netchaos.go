@@ -50,6 +50,8 @@ type NetChaosConfig struct {
 	DropProb   float64
 	StallProb  float64
 	StallDelay time.Duration
+	// Hardware sets TortureConfig.Hardware for the cell's database.
+	Hardware bool
 }
 
 func (c *NetChaosConfig) defaults() {
@@ -178,6 +180,7 @@ func RunNetChaos(w io.Writer, cfg NetChaosConfig) (*NetChaosResult, error) {
 			ObjectsPerPartition: cfg.ObjectsPerPartition,
 			Counters:            cfg.Counters,
 			Mode:                cfg.Mode,
+			Hardware:            cfg.Hardware,
 		},
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		oracle: newCtrOracle(cfg.Counters),

@@ -171,13 +171,7 @@ func DefaultOIDModeConfig(sc Scale) OIDModeConfig {
 // quiesces and runs the dereference microbench.
 func runOIDModeCell(cfg OIDModeConfig, logical bool) (*OIDModeCell, error) {
 	dcfg := cfg.DB
-	if logical {
-		dcfg.LogicalOIDs = true
-	} else {
-		// Pin the baseline: the cell must stay physical even under a
-		// REORG_LOGICAL_OID environment, or the pairing is meaningless.
-		dcfg.PhysicalOIDs = true
-	}
+	dcfg.LogicalOIDs = logical
 	cell := &OIDModeCell{Addressing: "physical"}
 	if logical {
 		cell.Addressing = "logical"
@@ -379,8 +373,8 @@ func RunOIDMode(w io.Writer, sc Scale, outPath string) error {
 	for _, mode := range sc.modes() {
 		cfg := DefaultOIDModeConfig(sc)
 		env := applyMode(mode, &cfg.Params, &cfg.DB)
-		fmt.Fprintf(w, "=== %s mode (cpu_tokens=%d, group_commit=%v, reader_shards=%d)\n",
-			mode, env.CPUTokens, env.GroupCommit, env.ReaderShards)
+		fmt.Fprintf(w, "=== %s mode (cpu_tokens=%d, group_commit=%v)\n",
+			mode, env.CPUTokens, env.GroupCommit)
 		rep, err := runOIDMode(w, cfg, sc.Name, env)
 		if err != nil {
 			return err

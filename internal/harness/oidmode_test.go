@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/db"
-	"repro/internal/hwmode"
 	"repro/internal/reorg"
 	"repro/internal/workload"
 )
@@ -44,7 +43,7 @@ func TestOIDModePairedReport(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cfg := tinyOIDModeConfig()
-	env := applyMode(hwmode.Fidelity, &cfg.Params, &cfg.DB)
+	env := applyMode(Fidelity, &cfg.Params, &cfg.DB)
 	rep, err := runOIDMode(&buf, cfg, "test", env)
 	if err != nil {
 		t.Fatalf("runOIDMode: %v\n%s", err, buf.String())

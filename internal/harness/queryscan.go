@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/db"
-	"repro/internal/hwmode"
 	"repro/internal/metrics"
 	"repro/internal/oid"
 	"repro/internal/query"
@@ -133,7 +132,7 @@ const queryscanPart = oid.PartitionID(1)
 
 // runQueryScanOnce runs one trajectory: the cold-traversal pair on a
 // disk-backed store, then the scan-on/off interference cell.
-func runQueryScanOnce(w io.Writer, sc Scale, mode hwmode.Mode) (*QueryscanReport, error) {
+func runQueryScanOnce(w io.Writer, sc Scale, mode Mode) (*QueryscanReport, error) {
 	objects, payload, frames, scans := 1536, 160, 16, 5
 	if sc.Name == "full" {
 		objects = 6144
@@ -351,7 +350,7 @@ func coldTraversals(d *db.Database, roots []oid.OID, scans int) (QueryscanScan, 
 // plus analytic traversal workers in the ON half. The report pairs
 // mean throughput and p99 over the fleet windows, so the delta is the
 // price OLTP pays for concurrent analytic scans under reorganization.
-func runQueryInterference(w io.Writer, sc Scale, mode hwmode.Mode, env BenchEnv) (QueryscanInterference, error) {
+func runQueryInterference(w io.Writer, sc Scale, mode Mode, env BenchEnv) (QueryscanInterference, error) {
 	p := sc.Params
 	p.NumPartitions = 4
 	p.ObjectsPerPartition = 510

@@ -128,6 +128,10 @@ type TortureConfig struct {
 	// the checkpoint snapshot. Dir is required when DiskBacked is set.
 	DiskBacked bool
 
+	// Hardware runs every life's database under the hardware preset
+	// (ApplyHardware): group commit and deadlock detection on queueing.
+	Hardware bool
+
 	// RoundTimeout bounds one crash round end to end; exceeding it
 	// means a wedge and fails the run.
 	RoundTimeout time.Duration
@@ -240,6 +244,9 @@ func (w *tortureWorld) dbConfig() db.Config {
 		cfg.LogSegmentBytes = 4096 // small segments: crashes land near rotation too
 	}
 	cfg.LogicalOIDs = w.cfg.LogicalOIDs
+	if w.cfg.Hardware {
+		ApplyHardware(nil, &cfg)
+	}
 	if w.cfg.DiskBacked {
 		cfg.DiskBacked = true
 		cfg.DataDir = filepath.Join(w.cfg.Dir, "segments")
@@ -1186,6 +1193,8 @@ type TortureSpec struct {
 	Points []TorturePoint
 	// Dir hosts file-backed WAL state; empty means a fresh temp dir.
 	Dir string
+	// Hardware sets TortureConfig.Hardware in every cell.
+	Hardware bool
 }
 
 // SelectTorturePoints returns the default crash points whose name is in
@@ -1241,6 +1250,7 @@ func (s TortureSpec) cell(seed int64, dir string) TortureConfig {
 		DiskBacked:          pt.DiskBacked,
 		LogicalOIDs:         pt.Logical || pt.StoreMove,
 		StoreMove:           pt.StoreMove,
+		Hardware:            s.Hardware,
 		Dir:                 dir,
 		CrashDuringRecovery: seed%3 == 0,
 		Chaos:               seed%2 != 0,
@@ -1253,9 +1263,11 @@ type SweepFailure struct {
 	Seed  int64
 	Point string
 	// Points is the sweep's -points value ("" for the default
-	// taxonomy): with the seed it selects the failing cell.
-	Points string
-	Err    error
+	// taxonomy) and Hardware its execution mode: with the seed they
+	// select the failing cell.
+	Points   string
+	Hardware bool
+	Err      error
 	// Trace is the tail of the (append, apply, evict, flush)
 	// interleaving captured around the failing run — the ordering
 	// context the load-sensitive failures lose by the time the checker
@@ -1268,6 +1280,9 @@ func (f SweepFailure) ReplayLine() string {
 	cmd := fmt.Sprintf("reorgck -torture -seeds 1 -seedbase %d", f.Seed)
 	if f.Points != "" {
 		cmd += " -points " + f.Points
+	}
+	if f.Hardware {
+		cmd += " -mode hardware"
 	}
 	return fmt.Sprintf("replay: seed=%d point=%s (%s)", f.Seed, f.Point, cmd)
 }
@@ -1314,7 +1329,7 @@ func RunTortureSweep(w io.Writer, spec TortureSpec) ([]SweepFailure, error) {
 		res, err := RunTorture(cfg)
 		restoreRing()
 		if err != nil {
-			f := SweepFailure{Seed: seed, Point: cfg.Point, Points: spec.pointNames(), Err: err, Trace: ring.Events()}
+			f := SweepFailure{Seed: seed, Point: cfg.Point, Points: spec.pointNames(), Hardware: spec.Hardware, Err: err, Trace: ring.Events()}
 			failures = append(failures, f)
 			if w != nil {
 				fmt.Fprintf(w, "FAIL seed=%d point=%s: %v\n  %s\n", seed, cfg.Point, err, f.ReplayLine())

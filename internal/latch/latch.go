@@ -12,22 +12,16 @@
 // other, which is harmless for correctness and keeps the structure
 // allocation-free. Stripe ordering is irrelevant because callers never
 // hold two latches at once.
-//
-// Each stripe is a shard.RWMutex: with one reader shard (the default,
-// fidelity mode) it is exactly a sync.RWMutex; with more (hardware
-// mode) concurrent fuzzy readers of the same hot stripe land on
-// different cache lines instead of serializing on one reader count.
-// Read acquisition therefore returns a token that the matching release
-// must be given.
 package latch
 
 import (
+	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/oid"
-	"repro/internal/shard"
 )
 
 // fpLatchAcquire lets a fault registry stretch latch hold windows
@@ -39,21 +33,22 @@ var fpLatchAcquire = fault.Point(fault.LatchAcquire)
 // DefaultStripes is the stripe count used by New when 0 is requested.
 const DefaultStripes = 1024
 
+// stripe is one latch, padded past a cache line (with prefetch
+// headroom) so that adjacent stripes never share a line.
+type stripe struct {
+	sync.RWMutex
+	_ [128 - unsafe.Sizeof(sync.RWMutex{})%128]byte
+}
+
 // Table is a striped latch table. The zero value is not usable; call New.
 type Table struct {
-	stripes []shard.RWMutex
+	stripes []stripe
 	mask    uint64
 }
 
 // New creates a latch table with the given number of stripes, rounded up
-// to a power of two. n <= 0 selects DefaultStripes. Each stripe has one
-// reader shard (plain RWMutex behavior).
-func New(n int) *Table { return NewSharded(n, 1) }
-
-// NewSharded is New with an explicit reader-shard count per stripe
-// (hardware mode passes the host's shard count; shards <= 1 behaves
-// exactly like New).
-func NewSharded(n, shards int) *Table {
+// to a power of two. n <= 0 selects DefaultStripes.
+func New(n int) *Table {
 	if n <= 0 {
 		n = DefaultStripes
 	}
@@ -61,36 +56,31 @@ func NewSharded(n, shards int) *Table {
 	for size < n {
 		size <<= 1
 	}
-	t := &Table{stripes: make([]shard.RWMutex, size), mask: uint64(size - 1)}
-	for i := range t.stripes {
-		t.stripes[i] = shard.New(shards)
-	}
-	return t
+	return &Table{stripes: make([]stripe, size), mask: uint64(size - 1)}
 }
 
 // stripe maps an OID to its stripe index. OIDs of objects on the same page
 // differ only in slot bits, so a multiplicative hash spreads them.
-func (t *Table) stripe(o oid.OID) *shard.RWMutex {
+func (t *Table) stripe(o oid.OID) *stripe {
 	h := uint64(o) * 0x9e3779b97f4a7c15
 	h ^= h >> 32
 	return &t.stripes[h&t.mask]
 }
 
-// RLatch acquires the read latch for o and returns the shard token
-// RUnlatch must be given.
-func (t *Table) RLatch(o oid.OID) int {
+// RLatch acquires the read latch for o.
+func (t *Table) RLatch(o oid.OID) {
 	_ = fpLatchAcquire.Maybe()
 	if obs.Enabled() {
 		start := time.Now()
-		tok := t.stripe(o).RLock()
+		t.stripe(o).RLock()
 		obs.Observe(obs.LatchWait, time.Since(start))
-		return tok
+		return
 	}
-	return t.stripe(o).RLock()
+	t.stripe(o).RLock()
 }
 
-// RUnlatch releases the read latch for o; tok is RLatch's return value.
-func (t *Table) RUnlatch(o oid.OID, tok int) { t.stripe(o).RUnlock(tok) }
+// RUnlatch releases the read latch for o.
+func (t *Table) RUnlatch(o oid.OID) { t.stripe(o).RUnlock() }
 
 // Latch acquires the write latch for o.
 func (t *Table) Latch(o oid.OID) {
@@ -106,17 +96,3 @@ func (t *Table) Latch(o oid.OID) {
 
 // Unlatch releases the write latch for o.
 func (t *Table) Unlatch(o oid.OID) { t.stripe(o).Unlock() }
-
-// WithR runs fn while holding the read latch for o.
-func (t *Table) WithR(o oid.OID, fn func()) {
-	tok := t.RLatch(o)
-	defer t.RUnlatch(o, tok)
-	fn()
-}
-
-// WithW runs fn while holding the write latch for o.
-func (t *Table) WithW(o oid.OID, fn func()) {
-	t.Latch(o)
-	defer t.Unlatch(o)
-	fn()
-}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/oid"
 	"repro/internal/reorg"
+	"repro/internal/testkit"
 )
 
 // mnode is one object in the in-memory graph model. Index 0..P-1 are
@@ -48,7 +49,7 @@ type mrow struct {
 // of a partition is referenced by an earlier node of the same
 // partition), plus random extra intra- and cross-partition edges —
 // including back edges, so cycles are common.
-func buildOracleWorld(t *testing.T, rng *rand.Rand, parts, perPart int) (*db.Database, *model, []oid.OID) {
+func buildOracleWorld(t *testing.T, c testkit.Cell, rng *rand.Rand, parts, perPart int) (*db.Database, *model, []oid.OID) {
 	t.Helper()
 	cfg := db.DefaultConfig()
 	cfg.FlushLatency = 0
@@ -57,7 +58,7 @@ func buildOracleWorld(t *testing.T, rng *rand.Rand, parts, perPart int) (*db.Dat
 	// collisions cheap (timeout → restart) instead of serializing both
 	// sides behind full-length waits.
 	cfg.LockTimeout = 100 * time.Millisecond
-	d := db.Open(cfg)
+	d := db.Open(c.Config(t, cfg))
 	t.Cleanup(d.Close)
 	for p := 0; p <= parts; p++ {
 		if err := d.CreatePartition(oid.PartitionID(p)); err != nil {
@@ -325,7 +326,13 @@ func checkOnce(t *testing.T, d *db.Database, s pipelineSpec, anchorOIDs []oid.OI
 	return true
 }
 
+// TestOracleEquivalence runs in each pairwise cell of the configuration
+// matrix.
 func TestOracleEquivalence(t *testing.T) {
+	testkit.Run(t, testkit.Pairwise, testOracleEquivalence)
+}
+
+func testOracleEquivalence(t *testing.T, c testkit.Cell) {
 	count := 6
 	if testing.Short() {
 		count = 2
@@ -335,7 +342,7 @@ func TestOracleEquivalence(t *testing.T) {
 		caseNo++
 		rng := rand.New(rand.NewSource(int64(seed)))
 		parts, perPart := 2+rng.Intn(2), 10+rng.Intn(8)
-		d, m, anchorOIDs := buildOracleWorld(t, rng, parts, perPart)
+		d, m, anchorOIDs := buildOracleWorld(t, c, rng, parts, perPart)
 		s := drawPipeline(rng, parts)
 		want := s.evalModel(m)
 

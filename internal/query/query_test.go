@@ -7,10 +7,10 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/oid"
+	"repro/internal/testkit"
 )
 
-// testDB opens a database with partitions 0..parts. DefaultConfig
-// honors REORG_DISK_BACKED, so the whole file runs against both stores.
+// testDB opens a database with partitions 0..parts.
 func testDB(t *testing.T, parts int) *db.Database {
 	t.Helper()
 	cfg := db.DefaultConfig()
@@ -297,9 +297,8 @@ func TestCloseReachesInputAfterError(t *testing.T) {
 func TestNoPinLeak(t *testing.T) {
 	cfg := db.DefaultConfig()
 	cfg.FlushLatency = 0
-	cfg.DiskBacked = true
-	cfg.DataDir = t.TempDir()
 	cfg.PageSize = 1024
+	cfg = testkit.Cell{Disk: true}.Config(t, cfg)
 	cfg.PoolFrames = 4
 	d := db.Open(cfg)
 	defer d.Close()

@@ -7,9 +7,9 @@ package query
 // every committed full traversal must return the same payload multiset
 // as a quiescent baseline — while every address underneath it churns.
 //
-// The cell runs under whatever execution mode and store the
-// environment selects (REORG_MODE, REORG_DISK_BACKED), so the CI race
-// lanes cover memory/disk × fidelity/hardware.
+// The cell runs in each pairwise cell of the configuration matrix, so
+// the race detector sees memory/disk × physical/logical ×
+// fidelity/hardware.
 
 import (
 	"errors"
@@ -22,6 +22,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/oid"
 	"repro/internal/reorg"
+	"repro/internal/testkit"
 	"repro/internal/workload"
 )
 
@@ -29,7 +30,11 @@ func TestTraversalRaceWorkloadAndFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race cell needs a few seconds of sustained contention")
 	}
-	p := workload.DefaultParams()
+	testkit.Run(t, testkit.Pairwise, testTraversalRace)
+}
+
+func testTraversalRace(t *testing.T, c testkit.Cell) {
+	p := c.Params(workload.DefaultParams())
 	p.NumPartitions = 4
 	p.ObjectsPerPartition = 255
 	p.MPL = 4
@@ -37,7 +42,7 @@ func TestTraversalRaceWorkloadAndFleet(t *testing.T) {
 	cfg := db.DefaultConfig()
 	cfg.FlushLatency = 0
 	cfg.LockTimeout = 150 * time.Millisecond
-	w, err := workload.Build(cfg, p)
+	w, err := workload.Build(c.Config(t, cfg), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,16 @@ import (
 	"repro/internal/fault"
 	"repro/internal/lock"
 	"repro/internal/oid"
+	"repro/internal/testkit"
 )
 
 // buildRandomImage creates a database, runs a seeded mix of committed
 // and loser transactions against it, and captures a crash image in
 // which the losers' records are durable but their commits are not.
-func buildRandomImage(t *testing.T, seed int64) (*Image, oid.OID) {
+func buildRandomImage(t *testing.T, c testkit.Cell, seed int64) (*Image, oid.OID) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	d := db.Open(testConfig())
+	d := db.Open(c.Config(t, testConfig()))
 	defer d.Close()
 	for p := 0; p <= 2; p++ {
 		if err := d.CreatePartition(oid.PartitionID(p)); err != nil {
@@ -133,9 +134,9 @@ func buildRandomImage(t *testing.T, seed int64) (*Image, oid.OID) {
 	return img, root
 }
 
-func recoverSig(t *testing.T, img *Image, root oid.OID) map[string][]string {
+func recoverSig(t *testing.T, c testkit.Cell, img *Image, root oid.OID) map[string][]string {
 	t.Helper()
-	d, err := Recover(img, testConfig())
+	d, err := Recover(img, c.Config(t, testConfig()))
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -157,14 +158,19 @@ func recoverSig(t *testing.T, img *Image, root oid.OID) map[string][]string {
 // TestRecoverIdempotentAcrossSeeds is the §4.4 idempotence property:
 // recovery never appends to the log, so running it twice from one
 // durable image — or crashing it partway and rerunning — must yield
-// byte-identical logical databases.
+// byte-identical logical databases, in each pairwise cell of the
+// configuration matrix.
 func TestRecoverIdempotentAcrossSeeds(t *testing.T) {
+	testkit.Run(t, testkit.Pairwise, testRecoverIdempotent)
+}
+
+func testRecoverIdempotent(t *testing.T, c testkit.Cell) {
 	interruptPoints := []string{fault.RecoveryAnalysis, fault.RecoveryRedo, fault.RecoveryUndo}
 	for seed := int64(0); seed < 12; seed++ {
-		img, root := buildRandomImage(t, seed)
+		img, root := buildRandomImage(t, c, seed)
 
-		first := recoverSig(t, img, root)
-		second := recoverSig(t, img, root)
+		first := recoverSig(t, c, img, root)
+		second := recoverSig(t, c, img, root)
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("seed %d: two recoveries from one image disagree", seed)
 		}
@@ -174,7 +180,7 @@ func TestRecoverIdempotentAcrossSeeds(t *testing.T) {
 		reg := fault.NewRegistry(seed)
 		reg.Arm(fault.Trigger{Point: pt, Kind: fault.KindError, Hit: 1})
 		restore := fault.Install(reg)
-		d, err := Recover(img, testConfig())
+		d, err := Recover(img, c.Config(t, testConfig()))
 		restore()
 		if err == nil {
 			d.Close()
@@ -183,7 +189,7 @@ func TestRecoverIdempotentAcrossSeeds(t *testing.T) {
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("seed %d: interrupted recovery failed organically: %v", seed, err)
 		}
-		rerun := recoverSig(t, img, root)
+		rerun := recoverSig(t, c, img, root)
 		if !reflect.DeepEqual(first, rerun) {
 			t.Fatalf("seed %d: rerun after interruption at %s diverged", seed, pt)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/db"
 	"repro/internal/oid"
+	"repro/internal/testkit"
 )
 
 // undoState is what an undo leaves behind: a digest of every live
@@ -157,88 +158,96 @@ func randomTxn(t *testing.T, rng *rand.Rand, tx *db.Txn, live []oid.OID, n int, 
 // open in a crash image and then aborted live. The aborted database and
 // the one recovered from the image must hold the same objects at the
 // same addresses, the same OID-map bindings and the same ERTs, and both
-// must pass check.Verify.
+// must pass check.Verify. Every case runs in each pairwise cell of the
+// configuration matrix, grouped by addressing, the axis whose map
+// bindings the oracle compares.
 func TestRollbackMatchesRestartUndo(t *testing.T) {
 	for _, logical := range []bool{false, true} {
 		for seed := int64(1); seed <= 12; seed++ {
 			t.Run(fmt.Sprintf("logical=%v/seed=%d", logical, seed), func(t *testing.T) {
-				cfg := testConfig()
-				cfg.LogicalOIDs, cfg.PhysicalOIDs = logical, !logical
-				rng := rand.New(rand.NewSource(seed))
-				d := db.Open(cfg)
-				defer d.Close()
-				for p := 0; p < 3; p++ {
-					if err := d.CreatePartition(oid.PartitionID(p)); err != nil {
-						t.Fatal(err)
+				for _, c := range testkit.Pairwise {
+					if c.Logical == logical {
+						t.Run(c.String(), func(t *testing.T) { rollbackMatchesRestartUndo(t, c, seed) })
 					}
-				}
-				tx, err := d.Begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				root, err := tx.Create(0, []byte("root"), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live := []oid.OID{root}
-				for i := 0; i < 6; i++ {
-					o, err := tx.Create(oid.PartitionID(i%3), []byte(fmt.Sprintf("seed-%d", i)), nil)
-					if err == nil {
-						err = tx.InsertRef(root, o)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, o)
-				}
-				if err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				ckpt, err := d.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for c := 0; c < 3; c++ {
-					tx, err := d.Begin()
-					if err != nil {
-						t.Fatal(err)
-					}
-					live = randomTxn(t, rng, tx, live, 15, logical)
-					if err := tx.Commit(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				loser, err := d.Begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				randomTxn(t, rng, loser, live, 25, logical)
-				if err := d.Log().FlushWait(d.Log().TailLSN()); err != nil {
-					t.Fatal(err)
-				}
-				img := CaptureImage(d, ckpt)
-
-				if err := loser.Abort(); err != nil {
-					t.Fatal(err)
-				}
-				aborted := captureUndoState(t, d, root)
-				rd, err := Recover(img, cfg)
-				if err != nil {
-					t.Fatalf("Recover: %v", err)
-				}
-				defer rd.Close()
-				restarted := captureUndoState(t, rd, root)
-
-				if aborted.store != restarted.store {
-					t.Error("store contents differ between live abort and restart undo")
-				}
-				if !reflect.DeepEqual(aborted.oids, restarted.oids) {
-					t.Errorf("OID map differs:\n  abort   %v\n  restart %v", aborted.oids, restarted.oids)
-				}
-				if !reflect.DeepEqual(aborted.erts, restarted.erts) {
-					t.Errorf("ERTs differ:\n  abort   %v\n  restart %v", aborted.erts, restarted.erts)
 				}
 			})
 		}
+	}
+}
+
+func rollbackMatchesRestartUndo(t *testing.T, c testkit.Cell, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	d := db.Open(c.Config(t, testConfig()))
+	defer d.Close()
+	for p := 0; p < 3; p++ {
+		if err := d.CreatePartition(oid.PartitionID(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := tx.Create(0, []byte("root"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := []oid.OID{root}
+	for i := 0; i < 6; i++ {
+		o, err := tx.Create(oid.PartitionID(i%3), []byte(fmt.Sprintf("seed-%d", i)), nil)
+		if err == nil {
+			err = tx.InsertRef(root, o)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, o)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := d.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		tx, err := d.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = randomTxn(t, rng, tx, live, 15, c.Logical)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loser, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomTxn(t, rng, loser, live, 25, c.Logical)
+	if err := d.Log().FlushWait(d.Log().TailLSN()); err != nil {
+		t.Fatal(err)
+	}
+	img := CaptureImage(d, ckpt)
+
+	if err := loser.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	aborted := captureUndoState(t, d, root)
+	rd, err := Recover(img, c.Config(t, testConfig()))
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer rd.Close()
+	restarted := captureUndoState(t, rd, root)
+
+	if aborted.store != restarted.store {
+		t.Error("store contents differ between live abort and restart undo")
+	}
+	if !reflect.DeepEqual(aborted.oids, restarted.oids) {
+		t.Errorf("OID map differs:\n  abort   %v\n  restart %v", aborted.oids, restarted.oids)
+	}
+	if !reflect.DeepEqual(aborted.erts, restarted.erts) {
+		t.Errorf("ERTs differ:\n  abort   %v\n  restart %v", aborted.erts, restarted.erts)
 	}
 }

@@ -17,14 +17,7 @@ import (
 // last checkpoint, and verifies full consistency and graph preservation.
 func crashHarness(t *testing.T, mode Mode, crashAt string, batch int) {
 	t.Helper()
-	cfg := testConfig()
-	if mode == ModeIRATwoLock {
-		// The two-lock failpoints live on the dual-copy path, which
-		// logical mode replaces with single-copy relocation; pin
-		// physical so they fire under the REORG_LOGICAL_OID lane.
-		cfg.PhysicalOIDs = true
-	}
-	f := buildFixture(t, cfg, 2, 25)
+	f := buildFixture(t, testConfig(), 2, 25)
 	sig := f.signature(t)
 
 	// Durable base image: checkpoint before the reorganization starts.
@@ -61,7 +54,7 @@ func crashHarness(t *testing.T, mode Mode, crashAt string, batch int) {
 	// survive the restart).
 	img := recovery.CaptureImage(f.d, ckpt)
 	f.d.Close()
-	d2, err := recovery.Recover(img, cfg)
+	d2, err := recovery.Recover(img, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +256,7 @@ func fleetCrashHarness(t *testing.T, mode Mode, crashAt string, batch int) {
 	t.Helper()
 	const parts, clusterSize = 5, 25
 	victim := oid.PartitionID(3)
-	cfg := testConfig()
-	if mode == ModeIRATwoLock {
-		cfg.PhysicalOIDs = true // see crashHarness
-	}
-	f := buildFixture(t, cfg, parts, clusterSize)
+	f := buildFixture(t, testConfig(), parts, clusterSize)
 	sig := f.signature(t)
 	ckpt, err := f.d.Checkpoint()
 	if err != nil {
@@ -333,7 +322,7 @@ func fleetCrashHarness(t *testing.T, mode Mode, crashAt string, batch int) {
 	// exactly the unfinished partitions, resuming from their checkpoints.
 	img := recovery.CaptureImage(f.d, ckpt)
 	f.d.Close()
-	d2, err := recovery.Recover(img, cfg)
+	d2, err := recovery.Recover(img, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestMigrateStore(t *testing.T) {
 // TestMigrateStorePhysicalModeRejected: the move is defined only behind
 // the indirection table.
 func TestMigrateStorePhysicalModeRejected(t *testing.T) {
-	f := buildFixture(t, physicalConfig(), 1, 5)
+	f := buildFixture(t, testConfig(), 1, 5)
 	if _, err := MigrateStore(f.d, 1, 9, false, Options{}); err == nil {
 		t.Fatal("MigrateStore accepted a physical-OID database")
 	}

@@ -14,23 +14,13 @@ import (
 	"repro/internal/db"
 	"repro/internal/lock"
 	"repro/internal/oid"
+	"repro/internal/testkit"
 )
 
 func testConfig() db.Config {
 	cfg := db.DefaultConfig()
 	cfg.FlushLatency = 0
 	cfg.LockTimeout = 100 * time.Millisecond
-	return cfg
-}
-
-// physicalConfig pins direct physical addressing for tests whose
-// assertions are address-sensitive — objects must move, parents must be
-// rewritten, two-lock failpoints must fire — so the REORG_LOGICAL_OID
-// CI lane cannot change their semantics. Everything else runs testConfig
-// and is exercised in both modes.
-func physicalConfig() db.Config {
-	cfg := testConfig()
-	cfg.PhysicalOIDs = true
 	return cfg
 }
 
@@ -253,8 +243,8 @@ func (w *walker) halt() {
 	w.wg.Wait()
 }
 
-func testModeUnderLoad(t *testing.T, mode Mode, batch int) {
-	f := buildFixture(t, testConfig(), 3, 40)
+func testModeUnderLoad(t *testing.T, c testkit.Cell, mode Mode, batch int) {
+	f := buildFixture(t, c.Config(t, testConfig()), 3, 40)
 	sig := f.signature(t)
 	w := &walker{}
 	w.run(t, f, 8)
@@ -275,10 +265,16 @@ func testModeUnderLoad(t *testing.T, mode Mode, batch int) {
 	f.verify(t, sig)
 }
 
-func TestIRAUnderLoad(t *testing.T)        { testModeUnderLoad(t, ModeIRA, 1) }
-func TestIRABatchedUnderLoad(t *testing.T) { testModeUnderLoad(t, ModeIRA, 4) }
-func TestIRATwoLockUnderLoad(t *testing.T) { testModeUnderLoad(t, ModeIRATwoLock, 1) }
-func TestPQRUnderLoad(t *testing.T)        { testModeUnderLoad(t, ModePQR, 1) }
+// TestIRAUnderLoad keeps the disk cell it stalled in (see CHANGES.md).
+func TestIRAUnderLoad(t *testing.T) {
+	testkit.Run(t, []testkit.Cell{{}, {Disk: true}}, func(t *testing.T, c testkit.Cell) {
+		testModeUnderLoad(t, c, ModeIRA, 1)
+	})
+}
+
+func TestIRABatchedUnderLoad(t *testing.T) { testModeUnderLoad(t, testkit.Cell{}, ModeIRA, 4) }
+func TestIRATwoLockUnderLoad(t *testing.T) { testModeUnderLoad(t, testkit.Cell{}, ModeIRATwoLock, 1) }
+func TestPQRUnderLoad(t *testing.T)        { testModeUnderLoad(t, testkit.Cell{}, ModePQR, 1) }
 
 // TestFigure2Scenario reproduces the paper's Figure 2 motivation: a
 // transaction deletes the only reference to O, the reorganizer runs, and
@@ -340,7 +336,8 @@ func TestTRTCatchesMidReorgEdgeCut(t *testing.T) {
 	f := buildFixture(t, cfg, 1, 30)
 	sig := f.signature(t)
 
-	var cutter atomic.Bool
+	cut := make(chan struct{}) // closed at the cutter's first cut
+	var cutOnce sync.Once
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -373,7 +370,7 @@ func TestTRTCatchesMidReorgEdgeCut(t *testing.T) {
 				if err := tx.DeleteRef(cr, victim); err != nil {
 					return false
 				}
-				cutter.Store(true)
+				cutOnce.Do(func() { close(cut) })
 				time.Sleep(time.Millisecond)
 				if rng.Intn(2) == 0 {
 					return false // abort: reinsertion via rollback
@@ -390,15 +387,21 @@ func TestTRTCatchesMidReorgEdgeCut(t *testing.T) {
 		}
 	}()
 
+	// The reorganization starts once the cutter is cutting, so the two
+	// overlap on every schedule.
+	select {
+	case <-cut:
+	case <-time.After(10 * time.Second):
+		close(stop)
+		wg.Wait()
+		t.Fatal("cutter never cut an edge")
+	}
 	r := New(f.d, 1, Options{Mode: ModeIRA})
 	err := r.Run()
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cutter.Load() {
-		t.Skip("cutter never ran; timing")
 	}
 	f.verify(t, sig)
 }
@@ -486,7 +489,7 @@ func TestLockRetryGiveUpWrapsTimeout(t *testing.T) {
 }
 
 func TestSelfReferenceAndCycle(t *testing.T) {
-	d := db.Open(physicalConfig())
+	d := db.Open(testConfig())
 	defer d.Close()
 	d.CreatePartition(0)
 	d.CreatePartition(1)
@@ -648,7 +651,7 @@ func TestEvacuatePlanMovesAcrossPartitions(t *testing.T) {
 }
 
 func TestStatsPopulated(t *testing.T) {
-	f := buildFixture(t, physicalConfig(), 1, 10)
+	f := buildFixture(t, testConfig(), 1, 10)
 	r := New(f.d, 1, Options{Mode: ModeIRA})
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -774,8 +777,13 @@ func TestFilterWithCollectGarbageRejected(t *testing.T) {
 // TestConcurrentReorgOfTwoPartitions runs two reorganizers on different
 // partitions at the same time, with walkers active. Each partition's TRT
 // catches the other reorganizer's parent rewrites crossing the boundary.
+// It keeps the disk cell it stalled in (see CHANGES.md).
 func TestConcurrentReorgOfTwoPartitions(t *testing.T) {
-	f := buildFixture(t, testConfig(), 2, 40)
+	testkit.Run(t, []testkit.Cell{{}, {Disk: true}}, testConcurrentReorgOfTwoPartitions)
+}
+
+func testConcurrentReorgOfTwoPartitions(t *testing.T, c testkit.Cell) {
+	f := buildFixture(t, c.Config(t, testConfig()), 2, 40)
 	sig := f.signature(t)
 	w := &walker{}
 	w.run(t, f, 6)
@@ -802,7 +810,7 @@ func TestConcurrentReorgOfTwoPartitions(t *testing.T) {
 }
 
 func TestTransformRewritesPayloadsDuringMigration(t *testing.T) {
-	f := buildFixture(t, physicalConfig(), 1, 15)
+	f := buildFixture(t, testConfig(), 1, 15)
 	r := New(f.d, 1, Options{
 		Mode: ModeIRA,
 		Transform: func(o oid.OID, payload []byte) []byte {
@@ -841,7 +849,7 @@ func TestTransformRewritesPayloadsDuringMigration(t *testing.T) {
 }
 
 func TestTransformTwoLock(t *testing.T) {
-	f := buildFixture(t, physicalConfig(), 1, 10)
+	f := buildFixture(t, testConfig(), 1, 10)
 	r := New(f.d, 1, Options{
 		Mode:      ModeIRATwoLock,
 		Transform: func(o oid.OID, payload []byte) []byte { return append(payload, '!') },

@@ -13,6 +13,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/metrics"
 	"repro/internal/oid"
+	"repro/internal/testkit"
 )
 
 // TestSchedulerStressUnderLoad is the headline stress test: a worker pool
@@ -303,9 +304,9 @@ func TestSchedulerCrossPartitionMutualRefs(t *testing.T) {
 // buildSeededDB builds a deterministic multi-partition graph — same
 // shape as buildFixture but parameterized by seed, so two calls with the
 // same seed produce identical databases.
-func buildSeededDB(t *testing.T, seed int64, parts, clusterSize int) (*db.Database, []oid.OID) {
+func buildSeededDB(t *testing.T, c testkit.Cell, seed int64, parts, clusterSize int) (*db.Database, []oid.OID) {
 	t.Helper()
-	d := db.Open(testConfig())
+	d := db.Open(c.Config(t, testConfig()))
 	t.Cleanup(d.Close)
 	for p := 0; p <= parts; p++ {
 		if err := d.CreatePartition(oid.PartitionID(p)); err != nil {
@@ -357,8 +358,13 @@ func buildSeededDB(t *testing.T, seed int64, parts, clusterSize int) (*db.Databa
 // any partition subset and worker count, the scheduler migrates exactly
 // what a serial per-partition IRA migrates — same traversed counts per
 // partition, every object moved exactly once, no partition skipped, and
-// the same final graph.
+// the same final graph. It runs in each pairwise cell of the
+// configuration matrix.
 func TestSchedulerPropertyMatchesSerial(t *testing.T) {
+	testkit.Run(t, testkit.Pairwise, testSchedulerMatchesSerial)
+}
+
+func testSchedulerMatchesSerial(t *testing.T, c testkit.Cell) {
 	const parts, clusterSize = 4, 8
 	prop := func(seed int64, mask, workersRaw uint8) bool {
 		var subset []oid.PartitionID
@@ -372,8 +378,8 @@ func TestSchedulerPropertyMatchesSerial(t *testing.T) {
 		}
 		workers := int(workersRaw)%4 + 1
 
-		d1, roots1 := buildSeededDB(t, seed, parts, clusterSize)
-		d2, roots2 := buildSeededDB(t, seed, parts, clusterSize)
+		d1, roots1 := buildSeededDB(t, c, seed, parts, clusterSize)
+		d2, roots2 := buildSeededDB(t, c, seed, parts, clusterSize)
 		sigBefore, err := check.Signature(d1, roots1)
 		if err != nil {
 			t.Fatal(err)

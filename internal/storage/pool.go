@@ -11,7 +11,6 @@ import (
 	"repro/internal/oid"
 	"repro/internal/page"
 	"repro/internal/segment"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -419,7 +418,6 @@ func (s *Store) loadLayout() error {
 		}
 		p := &partition{
 			id:      id,
-			mu:      shard.New(s.readerShards),
 			cursor:  1,
 			pages:   make([]*page.Page, n+1),
 			present: make([]bool, n+1),
@@ -468,10 +466,9 @@ func MaterializeDiskBacked(src *Store, dir string, frames int) (*Store, error) {
 	src.mu.RLock()
 	defer src.mu.RUnlock()
 	for id, p := range src.parts {
-		tok := p.mu.RLock()
+		p.mu.RLock()
 		np := &partition{
 			id:         id,
-			mu:         shard.New(dst.readerShards),
 			mem:        p.mem,
 			nLive:      p.nLive,
 			cursor:     p.cursor,
@@ -506,7 +503,7 @@ func MaterializeDiskBacked(src *Store, dir string, frames int) (*Store, error) {
 				np.present[pn] = true
 			}
 		}
-		p.mu.RUnlock(tok)
+		p.mu.RUnlock()
 		if werr != nil {
 			seg.Close()
 			return nil, werr
@@ -558,9 +555,9 @@ func (s *Store) FlushAll() error {
 		if err != nil {
 			continue // dropped concurrently
 		}
-		tok := p.mu.RLock()
+		p.mu.RLock()
 		err = s.pool.flushPartition(p)
-		p.mu.RUnlock(tok)
+		p.mu.RUnlock()
 		if err != nil {
 			return err
 		}
@@ -704,7 +701,7 @@ func (s *Store) newPartition(id oid.PartitionID) *partition {
 // newPartitionBacked builds an empty partition with an explicit backing
 // policy. Caller inserts it into s.parts under s.mu.
 func (s *Store) newPartitionBacked(id oid.PartitionID, mem bool) *partition {
-	p := &partition{id: id, mu: shard.New(s.readerShards), pages: []*page.Page{nil}, cursor: 1, mem: mem}
+	p := &partition{id: id, pages: []*page.Page{nil}, cursor: 1, mem: mem}
 	if s.pool != nil && !mem {
 		p.present = []bool{false}
 		p.frames = []*frame{nil}

@@ -110,10 +110,16 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := read(&nParts); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
+	ff := floatFromBits(fillBits)
+	if !(ff > 0 && ff <= 1) {
+		return nil, fmt.Errorf("%w: fill factor %v", ErrBadSnapshot, ff)
+	}
+	// The counts are untrusted: no size hints, so a corrupt count fails
+	// at the first missing entry instead of allocating for all of them.
 	snap := &Snapshot{
 		pageSize:   int(pageSize),
-		fillFactor: floatFromBits(fillBits),
-		parts:      make(map[oid.PartitionID]*partSnap, nParts),
+		fillFactor: ff,
+		parts:      make(map[oid.PartitionID]*partSnap),
 	}
 	for p := uint32(0); p < nParts; p++ {
 		var id uint32
@@ -145,7 +151,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			cursor:     int(cursor),
 			denseFloor: int(denseFloor),
 			mem:        mem != 0,
-			pages:      make([][]byte, nPages),
 		}
 		for i := uint64(0); i < nPages; i++ {
 			var present uint8
@@ -153,6 +158,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 				return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 			}
 			if present == 0 {
+				ps.pages = append(ps.pages, nil)
 				continue
 			}
 			var size uint32
@@ -166,7 +172,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 			}
-			ps.pages[i] = buf
+			ps.pages = append(ps.pages, buf)
 		}
 		snap.parts[oid.PartitionID(id)] = ps
 	}

@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/oid"
 	"repro/internal/page"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -78,12 +77,6 @@ type Store struct {
 	// pool is the buffer pool of a disk-backed store; nil in
 	// memory-resident mode.
 	pool *pool
-
-	// readerShards is the reader-shard count of each partition's mutex.
-	// 1 (the default) is a plain RWMutex; hardware mode raises it so
-	// concurrent fuzzy readers of one hot partition stop serializing on
-	// a single reader count.
-	readerShards int
 
 	mu    sync.RWMutex
 	parts map[oid.PartitionID]*partition
@@ -131,9 +124,8 @@ type partition struct {
 	// partition with its original backing.
 	mem bool
 
-	// mu serializes structural changes against reads. Read acquisition
-	// returns a shard token that the matching RUnlock must receive.
-	mu     shard.RWMutex
+	// mu serializes structural changes against reads.
+	mu     sync.RWMutex
 	pages  []*page.Page
 	nLive  int // live objects
 	cursor int // first-fit rotating start page
@@ -170,26 +162,12 @@ func WithFillFactor(f float64) Option {
 	}
 }
 
-// WithReaderShards sets the reader-shard count of every partition's
-// mutex (default 1, a plain RWMutex). Hardware mode passes the host's
-// shard count so fuzzy readers of a hot partition spread across cache
-// lines. Values below 1 are clamped to 1.
-func WithReaderShards(n int) Option {
-	return func(s *Store) {
-		if n < 1 {
-			n = 1
-		}
-		s.readerShards = n
-	}
-}
-
 // New creates an empty memory-resident store.
 func New(opts ...Option) *Store {
 	s := &Store{
-		pageSize:     page.DefaultSize,
-		fillFactor:   DefaultFillFactor,
-		readerShards: 1,
-		parts:        make(map[oid.PartitionID]*partition),
+		pageSize:   page.DefaultSize,
+		fillFactor: DefaultFillFactor,
+		parts:      make(map[oid.PartitionID]*partition),
 	}
 	for _, o := range opts {
 		o(s)
@@ -733,8 +711,8 @@ func (s *Store) Read(o oid.OID, buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	tok := p.mu.RLock()
-	defer p.mu.RUnlock(tok)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	pn := int(o.Page())
 	pg, err := s.fetchPage(p, pn)
 	if err != nil {
@@ -758,8 +736,8 @@ func (s *Store) View(o oid.OID, fn func(data []byte)) error {
 	if err != nil {
 		return err
 	}
-	tok := p.mu.RLock()
-	defer p.mu.RUnlock(tok)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	pn := int(o.Page())
 	pg, err := s.fetchPage(p, pn)
 	if err != nil {
@@ -783,8 +761,8 @@ func (s *Store) Exists(o oid.OID) bool {
 	if err != nil {
 		return false
 	}
-	tok := p.mu.RLock()
-	defer p.mu.RUnlock(tok)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	pn := int(o.Page())
 	pg, err := s.fetchPage(p, pn)
 	if err != nil || pg == nil {
@@ -803,8 +781,8 @@ func (s *Store) ForEach(part oid.PartitionID, fn func(o oid.OID, data []byte) bo
 	if err != nil {
 		return err
 	}
-	tok := p.mu.RLock()
-	defer p.mu.RUnlock(tok)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	for pn := 1; pn < len(p.pages); pn++ {
 		pg, ferr := s.fetchPage(p, pn)
 		if ferr != nil {
@@ -853,8 +831,8 @@ func (s *Store) PartitionStats(part oid.PartitionID) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	tok := p.mu.RLock()
-	defer p.mu.RUnlock(tok)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	st := Stats{Objects: p.nLive}
 	for pn := 1; pn < len(p.pages); pn++ {
 		pg, ferr := s.fetchPage(p, pn)
@@ -905,12 +883,12 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 		parts:      make(map[oid.PartitionID]*partSnap, len(s.parts)),
 	}
 	for id, p := range s.parts {
-		tok := p.mu.RLock()
+		p.mu.RLock()
 		ps := &partSnap{nLive: p.nLive, cursor: p.cursor, denseFloor: p.denseFloor, mem: p.mem, pages: make([][]byte, len(p.pages))}
 		for i := 1; i < len(p.pages); i++ {
 			pg, err := s.fetchPage(p, i)
 			if err != nil {
-				p.mu.RUnlock(tok)
+				p.mu.RUnlock()
 				return nil, err
 			}
 			if pg == nil {
@@ -919,7 +897,7 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 			ps.pages[i] = append([]byte(nil), pg.Bytes()...)
 			s.releasePage(p, i)
 		}
-		p.mu.RUnlock(tok)
+		p.mu.RUnlock()
 		snap.parts[id] = ps
 	}
 	return snap, nil
@@ -929,7 +907,7 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 func RestoreSnapshot(snap *Snapshot) *Store {
 	s := New(WithPageSize(snap.pageSize), WithFillFactor(snap.fillFactor))
 	for id, ps := range snap.parts {
-		p := &partition{id: id, mu: shard.New(s.readerShards), nLive: ps.nLive, cursor: ps.cursor, denseFloor: ps.denseFloor, mem: ps.mem, pages: make([]*page.Page, len(ps.pages))}
+		p := &partition{id: id, nLive: ps.nLive, cursor: ps.cursor, denseFloor: ps.denseFloor, mem: ps.mem, pages: make([]*page.Page, len(ps.pages))}
 		if p.cursor < 1 {
 			p.cursor = 1
 		}

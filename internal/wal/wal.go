@@ -550,6 +550,9 @@ func (l *Log) syncLocked(lsn LSN) error {
 	return nil
 }
 
+// GroupAppend reports whether appends go through the group-append ring.
+func (l *Log) GroupAppend() bool { return l.ring != nil }
+
 // FlushedLSN returns the durable horizon.
 func (l *Log) FlushedLSN() LSN {
 	l.mu.Lock()

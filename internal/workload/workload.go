@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/db"
-	"repro/internal/hwmode"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -72,18 +71,11 @@ type Params struct {
 	Seed      int64
 }
 
-// DefaultParams returns the paper's defaults (Table 1). The CPU token
-// capacity follows the process mode: 1 (the paper's uniprocessor) in
-// fidelity mode, 0 (bypass) when REORG_MODE=hardware — so the whole
-// test suite runs in either mode unmodified, like REORG_DISK_BACKED
-// does for the store.
+// DefaultParams returns the paper's defaults (Table 1), with one CPU
+// token: the paper's uniprocessor.
 func DefaultParams() Params {
-	tokens := 1
-	if hwmode.Enabled() {
-		tokens = 0
-	}
 	return Params{
-		CPUTokens:           tokens,
+		CPUTokens:           1,
 		NumPartitions:       10,
 		ObjectsPerPartition: 4080,
 		MPL:                 30,

@@ -175,7 +175,6 @@ func TestDriverCommitsTransactions(t *testing.T) {
 
 func TestDriverWithCPUToken(t *testing.T) {
 	p := smallParams()
-	p.CPUTokens = 1 // pin: the uniprocessor bound below assumes capacity 1 even under REORG_MODE=hardware
 	p.CPUPerOp = 100 * time.Microsecond
 	p.MPL = 4
 	w, err := Build(testDBConfig(), p)
@@ -241,17 +240,6 @@ func TestCPUTokenBypassAdmitsAll(t *testing.T) {
 	const d = 20 * time.Millisecond
 	if got := timedBurn(0, 8, d); got >= 3*d {
 		t.Fatalf("bypassed burns took %v, want < %v", got, 3*d)
-	}
-}
-
-func TestDefaultParamsFollowMode(t *testing.T) {
-	t.Setenv("REORG_MODE", "")
-	if got := DefaultParams().CPUTokens; got != 1 {
-		t.Fatalf("fidelity CPUTokens = %d, want 1", got)
-	}
-	t.Setenv("REORG_MODE", "hardware")
-	if got := DefaultParams().CPUTokens; got != 0 {
-		t.Fatalf("hardware CPUTokens = %d, want 0 (bypass)", got)
 	}
 }
 
