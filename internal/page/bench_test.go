@@ -64,9 +64,11 @@ func BenchmarkCompact(b *testing.B) {
 		}
 	}
 	buf := append([]byte(nil), p.Bytes()...)
+	q := Wrap(make([]byte, len(buf)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := Wrap(append([]byte(nil), buf...))
+		copy(q.Bytes(), buf)
 		q.Compact()
 	}
 }

@@ -12,9 +12,11 @@
 package page
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Layout constants. All offsets within a page fit in uint16, so the page
@@ -310,36 +312,30 @@ func (p *Page) Update(s uint16, data []byte) error {
 }
 
 // Compact rewrites all live cells tightly against the end of the page,
-// eliminating dead bytes. Slot numbers are unchanged.
+// eliminating dead bytes. Slot numbers are unchanged. Cells move from the
+// highest offset down (ties, which only zero-length cells make, by slot
+// number), so no copy overwrites a cell still to be moved. The order is
+// sorted in a stack array that holds every slot a page can have, so
+// compaction allocates nothing.
 func (p *Page) Compact() {
-	type cell struct {
-		slot   int
-		off    uint16
-		length uint16
-	}
-	var cells []cell
+	var order [MaxSize / slotSize]uint16
+	live := order[:0]
 	for i := 0; i < p.NumSlots(); i++ {
-		off, length := p.slot(i)
-		if off != 0 {
-			cells = append(cells, cell{i, off, length})
+		if off, _ := p.slot(i); off != 0 {
+			live = append(live, uint16(i))
 		}
 	}
-	// Move cells from the highest offset down so copies never overlap
-	// destructively.
-	for i := 0; i < len(cells); i++ {
-		hi := i
-		for j := i + 1; j < len(cells); j++ {
-			if cells[j].off > cells[hi].off {
-				hi = j
-			}
-		}
-		cells[i], cells[hi] = cells[hi], cells[i]
-	}
+	slices.SortFunc(live, func(a, b uint16) int {
+		offA, _ := p.slot(int(a))
+		offB, _ := p.slot(int(b))
+		return cmp.Or(cmp.Compare(offB, offA), cmp.Compare(a, b))
+	})
 	write := len(p.buf)
-	for _, c := range cells {
-		write -= int(c.length)
-		copy(p.buf[write:], p.buf[c.off:int(c.off)+int(c.length)])
-		p.setSlot(c.slot, uint16(write), c.length)
+	for _, s := range live {
+		off, length := p.slot(int(s))
+		write -= int(length)
+		copy(p.buf[write:], p.buf[off:int(off)+int(length)])
+		p.setSlot(int(s), uint16(write), length)
 	}
 	p.setCellStart(uint16(write - 1))
 	p.setDeadBytes(0)

@@ -432,3 +432,143 @@ func TestInsertAtFullPage(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPageFull", err)
 	}
 }
+
+// compactOracle is the selection-sort Compact that the sorted one
+// replaced, kept as the reference it must match.
+func compactOracle(p *Page) {
+	type cell struct {
+		slot   int
+		off    uint16
+		length uint16
+	}
+	var cells []cell
+	for i := 0; i < p.NumSlots(); i++ {
+		off, length := p.slot(i)
+		if off != 0 {
+			cells = append(cells, cell{i, off, length})
+		}
+	}
+	// Move cells from the highest offset down so copies never overlap
+	// destructively.
+	for i := 0; i < len(cells); i++ {
+		hi := i
+		for j := i + 1; j < len(cells); j++ {
+			if cells[j].off > cells[hi].off {
+				hi = j
+			}
+		}
+		cells[i], cells[hi] = cells[hi], cells[i]
+	}
+	write := len(p.buf)
+	for _, c := range cells {
+		write -= int(c.length)
+		copy(p.buf[write:], p.buf[c.off:int(c.off)+int(c.length)])
+		p.setSlot(c.slot, uint16(write), c.length)
+	}
+	p.setCellStart(uint16(write - 1))
+	p.setDeadBytes(0)
+}
+
+// offsetTie reports whether two live cells start at the same offset,
+// which only zero-length cells can do.
+func offsetTie(p *Page) bool {
+	seen := map[uint16]bool{}
+	for i := 0; i < p.NumSlots(); i++ {
+		if off, _ := p.slot(i); off != 0 {
+			if seen[off] {
+				return true
+			}
+			seen[off] = true
+		}
+	}
+	return false
+}
+
+// TestCompactMatchesOracle runs random slot, insert, insert-at, delete
+// and update histories and, after every step, compacts a copy of the
+// page with Compact and another with the oracle. The pages must be
+// byte-identical. Where zero-length cells tie on offset, the oracle's
+// swap order decides which of the tied cells moves first, so there the
+// pages must instead agree on every cell, the cell start and the slot
+// directory's shape.
+func TestCompactMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	identical, ties := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		size := MinSize + rng.Intn(4096)
+		p := New(size)
+		maxCell := 1 + rng.Intn(size/4)
+		live := func() []uint16 {
+			var out []uint16
+			p.Slots(func(s uint16, _ []byte) bool { out = append(out, s); return true })
+			return out
+		}
+		for op := 0; op < 300; op++ {
+			data := make([]byte, rng.Intn(maxCell))
+			rng.Read(data)
+			switch r := rng.Intn(10); {
+			case r < 4:
+				p.Insert(data)
+			case r < 5:
+				p.InsertAt(uint16(rng.Intn(p.NumSlots()+3)), data)
+			case r < 8:
+				if ls := live(); len(ls) > 0 {
+					p.Delete(ls[rng.Intn(len(ls))])
+				}
+			default:
+				if ls := live(); len(ls) > 0 {
+					p.Update(ls[rng.Intn(len(ls))], data)
+				}
+			}
+			got := Wrap(bytes.Clone(p.Bytes()))
+			want := Wrap(bytes.Clone(p.Bytes()))
+			tie := offsetTie(got)
+			got.Compact()
+			compactOracle(want)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("trial %d op %d: %v", trial, op, err)
+			}
+			if !tie {
+				identical++
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("trial %d op %d: Compact differs from the oracle", trial, op)
+				}
+				continue
+			}
+			ties++
+			if got.NumSlots() != want.NumSlots() || got.cellStart() != want.cellStart() || got.DeadBytes() != 0 {
+				t.Fatalf("trial %d op %d (offset tie): header differs from the oracle", trial, op)
+			}
+			for s := 0; s < got.NumSlots(); s++ {
+				g, gerr := got.Get(uint16(s))
+				w, werr := want.Get(uint16(s))
+				if (gerr == nil) != (werr == nil) || !bytes.Equal(g, w) {
+					t.Fatalf("trial %d op %d (offset tie): slot %d differs from the oracle", trial, op, s)
+				}
+			}
+		}
+	}
+	if identical == 0 || ties == 0 {
+		t.Fatalf("histories compared %d tie-free and %d tied pages; both kinds are needed", identical, ties)
+	}
+}
+
+func TestCompactAllocatesNothing(t *testing.T) {
+	p := New(DefaultSize)
+	var slots []uint16
+	for {
+		s, err := p.Insert(make([]byte, 40))
+		if err != nil {
+			break
+		}
+		slots = append(slots, s)
+	}
+	for i, s := range slots {
+		if i%3 == 0 {
+			p.Delete(s)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, p.Compact); allocs != 0 {
+		t.Fatalf("Compact allocates %v times, want 0", allocs)
+	}
+}

@@ -223,13 +223,15 @@ func overlaySegments(st *storage.Store, dataDir string, ckptLSN wal.LSN, pageLSN
 	if err != nil {
 		return err
 	}
+	// One read buffer serves every page: InstallPageImage copies.
+	slot := make([]byte, seg.SlotSize())
 	for _, id := range ids {
 		n, err := seg.NumPages(id)
 		if err != nil {
 			return err
 		}
 		for pn := 1; pn <= n; pn++ {
-			data, lsn, rerr := seg.ReadPage(id, pn)
+			data, lsn, rerr := seg.ReadPage(id, pn, slot)
 			switch {
 			case rerr == nil:
 				if wal.LSN(lsn) > ckptLSN {

@@ -20,6 +20,11 @@ func openDir(t *testing.T, pageSize int) *Dir {
 	return d
 }
 
+// readPage reads into a fresh slot buffer.
+func readPage(d *Dir, part oid.PartitionID, pn int) ([]byte, uint64, error) {
+	return d.ReadPage(part, pn, make([]byte, d.SlotSize()))
+}
+
 func pageOf(b byte, n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -34,7 +39,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := d.WritePage(3, 7, want, 42); err != nil {
 		t.Fatal(err)
 	}
-	got, lsn, err := d.ReadPage(3, 7)
+	got, lsn, err := readPage(d, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +50,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal("page bytes differ after round trip")
 	}
 	// Slots before the written one exist as sparse holes: absent.
-	if _, _, err := d.ReadPage(3, 2); !errors.Is(err, ErrAbsent) {
+	if _, _, err := readPage(d, 3, 2); !errors.Is(err, ErrAbsent) {
 		t.Fatalf("sparse hole: err = %v, want ErrAbsent", err)
 	}
 	// Slots beyond the file are absent too.
-	if _, _, err := d.ReadPage(3, 100); !errors.Is(err, ErrAbsent) {
+	if _, _, err := readPage(d, 3, 100); !errors.Is(err, ErrAbsent) {
 		t.Fatalf("beyond EOF: err = %v, want ErrAbsent", err)
 	}
 	if n, _ := d.NumPages(3); n != 7 {
@@ -65,7 +70,7 @@ func TestWriteAbsent(t *testing.T) {
 	if err := d.WriteAbsent(1, 1, 11); err != nil {
 		t.Fatal(err)
 	}
-	_, lsn, err := d.ReadPage(1, 1)
+	_, lsn, err := readPage(d, 1, 1)
 	if !errors.Is(err, ErrAbsent) {
 		t.Fatalf("err = %v, want ErrAbsent", err)
 	}
@@ -96,7 +101,7 @@ func TestTornDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, _, err := d2.ReadPage(5, 2); !errors.Is(err, ErrTorn) {
+	if _, _, err := readPage(d2, 5, 2); !errors.Is(err, ErrTorn) {
 		t.Fatalf("err = %v, want ErrTorn", err)
 	}
 	// A tear inside the header (stale CRC under a new LSN) must also be
@@ -111,7 +116,7 @@ func TestTornDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d3.Close()
-	if _, _, err := d3.ReadPage(5, 2); !errors.Is(err, ErrTorn) {
+	if _, _, err := readPage(d3, 5, 2); !errors.Is(err, ErrTorn) {
 		t.Fatalf("header tear: err = %v, want ErrTorn", err)
 	}
 }
@@ -141,7 +146,7 @@ func TestCrashTearsWriteAndFreezes(t *testing.T) {
 	// The slot is now either the intact old page (tear point 0) or torn
 	// — never the complete new page with a valid checksum, and never a
 	// valid page carrying the new LSN.
-	got, lsn, rerr := d.ReadPage(1, 1)
+	got, lsn, rerr := readPage(d, 1, 1)
 	switch {
 	case rerr == nil:
 		if lsn != 5 || got[0] != 1 {
@@ -173,7 +178,7 @@ func TestSweepTearPoints(t *testing.T) {
 		if !fault.IsCrash(werr) {
 			t.Fatalf("seed %d: err = %v, want crash", seed, werr)
 		}
-		got, lsn, rerr := d.ReadPage(1, 1)
+		got, lsn, rerr := readPage(d, 1, 1)
 		if rerr == nil && (lsn != 100 || got[0] != 0xAA) {
 			t.Fatalf("seed %d: tear produced a valid non-old page (lsn=%d)", seed, lsn)
 		}
@@ -277,7 +282,7 @@ func TestWriteTransientFaultAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transient write faults not absorbed: %v", err)
 	}
-	got, lsn, err := d.ReadPage(1, 1)
+	got, lsn, err := readPage(d, 1, 1)
 	if err != nil || lsn != 9 || got[0] != 7 {
 		t.Fatalf("page after absorbed faults: got[0]=%d lsn=%d err=%v", got[0], lsn, err)
 	}
@@ -309,7 +314,7 @@ func TestReadTransientFaultAbsorbed(t *testing.T) {
 	reg := fault.NewRegistry(4)
 	reg.Arm(fault.Trigger{Point: fault.SegmentRead, Kind: fault.KindError})
 	restore := fault.Install(reg)
-	got, lsn, err := d.ReadPage(1, 1)
+	got, lsn, err := readPage(d, 1, 1)
 	restore()
 	if err != nil || lsn != 3 || got[0] != 5 {
 		t.Fatalf("read under transient fault: got[0]=%v lsn=%d err=%v", got, lsn, err)
@@ -317,7 +322,7 @@ func TestReadTransientFaultAbsorbed(t *testing.T) {
 	// Permanent conditions are NOT retried: an absent slot fails at the
 	// first attempt without burning the budget.
 	before := d.IORetries()
-	if _, _, err := d.ReadPage(1, 99); !errors.Is(err, ErrAbsent) {
+	if _, _, err := readPage(d, 1, 99); !errors.Is(err, ErrAbsent) {
 		t.Fatalf("absent read = %v, want ErrAbsent", err)
 	}
 	if d.IORetries() != before {
@@ -335,7 +340,7 @@ func TestReadExhaustionReportsWithoutFreezing(t *testing.T) {
 	reg := fault.NewRegistry(4)
 	reg.Arm(fault.Trigger{Point: fault.SegmentRead, Kind: fault.KindError, Times: fault.Forever})
 	restore := fault.Install(reg)
-	_, _, err := d.ReadPage(1, 1)
+	_, _, err := readPage(d, 1, 1)
 	restore()
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
@@ -343,7 +348,7 @@ func TestReadExhaustionReportsWithoutFreezing(t *testing.T) {
 	if d.Frozen() {
 		t.Fatal("read exhaustion must not freeze the directory")
 	}
-	if _, lsn, err := d.ReadPage(1, 1); err != nil || lsn != 3 {
+	if _, lsn, err := readPage(d, 1, 1); err != nil || lsn != 3 {
 		t.Fatalf("read after fault cleared: lsn=%d err=%v", lsn, err)
 	}
 }
@@ -361,7 +366,7 @@ func TestReadIOErrorIsTransientNotAbsent(t *testing.T) {
 	d.files[1].Close()
 	d.mu.Unlock()
 	before := d.IORetries()
-	_, _, err := d.ReadPage(1, 1)
+	_, _, err := readPage(d, 1, 1)
 	if err == nil {
 		t.Fatal("read through a closed handle succeeded")
 	}
@@ -374,38 +379,81 @@ func TestReadIOErrorIsTransientNotAbsent(t *testing.T) {
 }
 
 func TestReadPageBufferContract(t *testing.T) {
-	// ReadPage hands back one buffer the caller owns: exactly a page
-	// long (no spare capacity to append into the next slot's header),
-	// never aliased by a later read, and the only allocation a
-	// successful read makes.
+	// ReadPage reads into the caller's slot buffer: the page it hands
+	// back is a view of that buffer exactly a page long (no spare
+	// capacity to append into the next slot's header), two buffers never
+	// alias, and a successful read allocates nothing.
 	const size = 256
 	d := openDir(t, size)
 	if err := d.WritePage(1, 1, pageOf(9, size), 4); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.ReadPage(1, 1)
+	if _, _, err := d.ReadPage(1, 1, make([]byte, d.SlotSize()-1)); err == nil {
+		t.Fatal("ReadPage accepted a buffer shorter than a slot")
+	}
+	slot := make([]byte, d.SlotSize())
+	got, _, err := d.ReadPage(1, 1, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != size || cap(got) != size {
 		t.Fatalf("len %d cap %d, want %d and %d", len(got), cap(got), size, size)
 	}
+	if &got[size-1] != &slot[len(slot)-1] {
+		t.Fatal("the page is not a view of the caller's buffer")
+	}
 	for i := range got {
 		got[i] = 0
 	}
-	again, _, err := d.ReadPage(1, 1)
+	again, _, err := d.ReadPage(1, 1, make([]byte, d.SlotSize()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(again) != string(pageOf(9, size)) {
-		t.Fatal("writing into a returned page changed a later read")
+		t.Fatal("writing into a returned page changed a read into another buffer")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := d.ReadPage(1, 1); err != nil {
+		if _, _, err := d.ReadPage(1, 1, slot); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("ReadPage allocates %v times per successful read, want 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("ReadPage allocates %v times per successful read, want 0", allocs)
+	}
+}
+
+func TestWritesAllocateNothing(t *testing.T) {
+	// Every write encodes into the directory's one scratch slot.
+	const size = 256
+	d := openDir(t, size)
+	data := pageOf(3, size)
+	if err := d.WritePage(1, 1, data, 1); err != nil { // opens the file
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := d.WritePage(1, 1, data, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("WritePage allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := d.WriteAbsent(1, 2, 3); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("WriteAbsent allocates %v times, want 0", allocs)
+	}
+	// An absence marker written after a live page leaves no payload
+	// behind in the shared scratch slot.
+	if err := d.WriteAbsent(1, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(d.Path(), partFileName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(raw[hdrSize:d.SlotSize()]) {
+		t.Fatal("absence marker carries the previous page's payload")
 	}
 }

@@ -35,10 +35,16 @@ type WAL interface {
 // mutated only by callers that hold both the partition lock (write) and
 // a pin, which is why eviction (which only takes unpinned frames) never
 // races a content mutation.
+//
+// A frame that a fault created holds a pool-owned buffer (slot set): the
+// pool takes it back when the frame leaves unpinned, and the next fault
+// reads into it. A frame install or revivePageAt created over page.New
+// has no slot, and its page goes to the GC.
 type frame struct {
 	part *partition
 	pn   int
 	pg   *page.Page
+	slot []byte // pool-owned slot buffer under pg; nil for installed pages
 	pin  int
 	ref  bool // CLOCK reference bit
 	dead bool // unlinked from the clock (lazy removal)
@@ -63,9 +69,20 @@ type pool struct {
 	hand     int
 	resident int
 	flushSeq int // eviction flushes since the last flush-behind sync
+	// free holds the buffers of frames that left the pool, at most
+	// budget of them, for the next faults to read into.
+	free []pageBuf
 
 	hits, misses, evictions, flushes, overBudget atomic.Uint64
 	pinned                                       atomic.Int64
+}
+
+// pageBuf is a fault's page memory: the slot buffer a segment read fills
+// and the page view over its payload (nil until the first read sets it;
+// every read into the same slot returns the same view).
+type pageBuf struct {
+	slot []byte
+	pg   *page.Page
 }
 
 // syncEvery bounds flush-behind: every syncEvery-th eviction flush also
@@ -101,15 +118,20 @@ func (ps PoolStats) FaultRate() float64 {
 // The caller must hold p.mu (either mode) and must release the pin.
 //
 // A fault reads optimistically, holding no pool lock during the I/O:
-// the miss is counted under pl.mu, the lock is dropped for ReadPage,
-// and on re-locking a frame some other reader linked meanwhile wins —
-// this read's buffer is dropped. DESIGN.md §5.9 argues why the slot it
+// the miss is counted and a free buffer taken under pl.mu, the lock is
+// dropped for ReadPage, and on re-locking a frame some other reader
+// linked meanwhile wins — this read's buffer goes back to the free list,
+// as it does on every failure. DESIGN.md §5.9 argues why the slot it
 // read is current.
 func (pl *pool) fetch(p *partition, pn int) (*page.Page, error) {
 	if pn < 1 || pn >= len(p.pages) || !p.present[pn] {
 		return nil, nil
 	}
 	pl.mu.Lock()
+	if p.dropped {
+		pl.mu.Unlock()
+		return nil, fmt.Errorf("%w: %d", ErrNoPartition, p.id)
+	}
 	if f := p.frames[pn]; f != nil {
 		pl.hits.Add(1)
 		pl.pinLocked(f)
@@ -117,32 +139,83 @@ func (pl *pool) fetch(p *partition, pn int) (*page.Page, error) {
 		return f.pg, nil
 	}
 	pl.misses.Add(1)
+	b := pl.getBuf()
 	pl.mu.Unlock()
 
-	data, _, err := pl.seg.ReadPage(p.id, pn)
+	data, _, err := pl.seg.ReadPage(p.id, pn, b.slot)
+
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	if err != nil {
+		pl.putBuf(b)
 		// Present in the page table but unreadable: an I/O fault (or,
 		// after a crash, a torn slot only recovery may repair).
 		return nil, fmt.Errorf("storage: partition %d page %d: %w", p.id, pn, err)
 	}
-
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
+	if b.pg == nil {
+		b.pg = page.Wrap(data)
+	}
 	if p.dropped {
+		pl.putBuf(b)
 		return nil, fmt.Errorf("%w: %d", ErrNoPartition, p.id)
 	}
 	if f := p.frames[pn]; f != nil {
+		pl.putBuf(b)
 		pl.pinLocked(f) // a concurrent fault of the same page linked first
 		return f.pg, nil
 	}
 	if err := pl.makeRoom(); err != nil {
+		pl.putBuf(b)
 		return nil, err
 	}
-	f := &frame{part: p, pn: pn, pg: page.Wrap(data), ref: true, pin: 1}
+	f := &frame{part: p, pn: pn, pg: b.pg, slot: b.slot, ref: true, pin: 1}
 	p.frames[pn] = f
 	pl.link(f)
 	pl.pinned.Add(1)
 	return f.pg, nil
+}
+
+// getBuf takes a buffer off the free list, or allocates one when the
+// list is empty. Caller holds pl.mu.
+func (pl *pool) getBuf() pageBuf {
+	n := len(pl.free)
+	if n == 0 {
+		return pageBuf{slot: make([]byte, pl.seg.SlotSize())}
+	}
+	b := pl.free[n-1]
+	pl.free[n-1] = pageBuf{}
+	pl.free = pl.free[:n-1]
+	return b
+}
+
+// poisonByte fills freed buffers in race builds. Read as an object's
+// reference count or a page's slot count it is out of range, so decoding
+// kept bytes fails loudly.
+const poisonByte = 0xDB
+
+// putBuf returns a buffer no frame uses any more. The free list keeps at
+// most budget buffers; the rest go to the GC. Builds with the race
+// detector poison the buffer first, so a caller that kept page bytes
+// past releasePage reads garbage instead of a plausible stale page.
+// Caller holds pl.mu.
+func (pl *pool) putBuf(b pageBuf) {
+	if poisonFreed {
+		for i := range b.slot {
+			b.slot[i] = poisonByte
+		}
+	}
+	if len(pl.free) < pl.budget {
+		pl.free = append(pl.free, b)
+	}
+}
+
+// retire takes back the buffer of a frame leaving the pool, unless the
+// frame has none (an installed page) or is still pinned (a reader of a
+// dropped partition holds it until release). Caller holds pl.mu.
+func (pl *pool) retire(f *frame) {
+	if f.slot != nil && f.pin == 0 {
+		pl.putBuf(pageBuf{slot: f.slot, pg: f.pg})
+	}
 }
 
 // pinLocked pins a resident frame and marks it referenced. Caller holds
@@ -222,6 +295,7 @@ func (pl *pool) dropPage(p *partition, pn int) error {
 	if f := p.frames[pn]; f != nil {
 		pl.unlink(f)
 		p.frames[pn] = nil
+		pl.retire(f)
 	}
 	p.present[pn] = false
 	return nil
@@ -230,13 +304,19 @@ func (pl *pool) dropPage(p *partition, pn int) error {
 // dropPartition discards p's frames and deletes its segment file.
 // Caller holds the store map lock; p is unreachable afterwards. Marking
 // p dropped under pl.mu stops a fetch whose unlocked read straddles the
-// drop from linking a frame for the unreachable partition.
+// drop from linking a frame for the unreachable partition, and a later
+// fetch from reaching a frame whose buffer went back to the free list.
+// A pinned frame stays in the page table until its holder releases it.
 func (pl *pool) dropPartition(p *partition) error {
 	pl.mu.Lock()
 	p.dropped = true
-	for _, f := range p.frames {
+	for pn, f := range p.frames {
 		if f != nil {
 			pl.unlink(f)
+			if f.pin == 0 {
+				p.frames[pn] = nil
+				pl.retire(f)
+			}
 		}
 	}
 	pl.mu.Unlock()
@@ -285,6 +365,7 @@ func (pl *pool) makeRoom() error {
 		pl.evictions.Add(1)
 		f.part.frames[f.pn] = nil
 		pl.unlink(f)
+		pl.retire(f)
 	}
 	return nil
 }
@@ -378,6 +459,7 @@ func (pl *pool) evictPartition(p *partition) error {
 		pl.evictions.Add(1)
 		p.frames[pn] = nil
 		pl.unlink(f)
+		pl.retire(f)
 	}
 	return nil
 }
@@ -411,6 +493,7 @@ func (s *Store) loadLayout() error {
 	if err != nil {
 		return err
 	}
+	slot := make([]byte, s.pool.seg.SlotSize())
 	for _, id := range ids {
 		n, err := s.pool.seg.NumPages(id)
 		if err != nil {
@@ -424,7 +507,7 @@ func (s *Store) loadLayout() error {
 			frames:  make([]*frame, n+1),
 		}
 		for pn := 1; pn <= n; pn++ {
-			data, _, rerr := s.pool.seg.ReadPage(id, pn)
+			data, _, rerr := s.pool.seg.ReadPage(id, pn, slot)
 			switch {
 			case rerr == nil:
 				p.present[pn] = true

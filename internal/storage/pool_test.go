@@ -439,6 +439,106 @@ func liveFrames(s *Store, p *partition, pn int) int {
 	return n
 }
 
+// freeBufs returns how many buffers the pool's free list holds.
+func freeBufs(s *Store) int {
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	return len(s.pool.free)
+}
+
+// TestPoolFaultAllocatesLittle reads pages round-robin through a 4-frame
+// pool so that every read faults and evicts. Once the free list is warm,
+// a fault reads into the evicted frame's buffer and page view, and the
+// only allocation left is the new frame.
+func TestPoolFaultAllocatesLittle(t *testing.T) {
+	s := newPoolStore(t, 4, WithPageSize(1024))
+	oids := fillPages(t, s, 1, 8)
+	var firsts []oid.OID // one object per page
+	for _, o := range oids {
+		if len(firsts) == 0 || firsts[len(firsts)-1].Page() != o.Page() {
+			firsts = append(firsts, o)
+		}
+	}
+	if err := s.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, s.PageSize())
+	next := 0
+	read := func() {
+		var err error
+		if buf, err = s.Read(firsts[next%len(firsts)], buf); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 4*len(firsts); i++ {
+		read()
+	}
+	before := s.PoolStats()
+	allocs := testing.AllocsPerRun(200, read)
+	st := s.PoolStats()
+	misses, hits, evictions := st.Misses-before.Misses, st.Hits-before.Hits, st.Evictions-before.Evictions
+	if misses == 0 || hits != 0 || evictions != misses {
+		t.Fatalf("the cycle did not fault and evict on every read: %d misses, %d hits, %d evictions", misses, hits, evictions)
+	}
+	if allocs > 1 {
+		t.Fatalf("a fault+evict cycle allocates %v objects, want at most 1 (the frame)", allocs)
+	}
+}
+
+// TestPoolFreeListBounded grows the pool past its budget with every
+// frame pinned, then evicts the partition and drops it: the free list
+// never holds more than budget buffers.
+func TestPoolFreeListBounded(t *testing.T) {
+	const budget = 4
+	s := newPoolStore(t, budget, WithPageSize(1024))
+	fillPages(t, s, 1, 3*budget)
+	if err := s.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := s.part(1)
+	pinAll := func() int {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		var pinned []int
+		for pn := 1; pn < len(p.pages); pn++ {
+			pg, err := s.fetchPage(p, pn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pg != nil {
+				pinned = append(pinned, pn)
+			}
+		}
+		for _, pn := range pinned {
+			s.releasePage(p, pn)
+		}
+		return len(pinned)
+	}
+	if n := pinAll(); n <= budget {
+		t.Fatalf("pinned %d pages, want more than the budget %d", n, budget)
+	}
+	if st := s.PoolStats(); st.Resident <= budget || st.OverBudget == 0 {
+		t.Fatalf("resident %d over-budget %d: the pool did not grow past its budget", st.Resident, st.OverBudget)
+	}
+	if err := s.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := freeBufs(s); n != budget {
+		t.Fatalf("free list holds %d buffers after evicting an over-budget pool, want %d", n, budget)
+	}
+	pinAll()
+	if err := s.DropPartition(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := freeBufs(s); n > budget {
+		t.Fatalf("free list holds %d buffers after the drop, want at most %d", n, budget)
+	}
+	if st := s.PoolStats(); st.Resident != 0 {
+		t.Fatalf("resident %d after the drop, want 0", st.Resident)
+	}
+}
+
 // TestPoolFaultDoesNotBlockHits stalls one page fault inside its segment
 // read and checks that, while it is stalled, a hit on another partition
 // and a fault on a third both complete. The witness is ordering, not
@@ -553,6 +653,7 @@ func TestPoolConcurrentFaultSamePage(t *testing.T) {
 
 	t.Run("read-error", func(t *testing.T) {
 		s, target, want := setup(t)
+		free := max(freeBufs(s), 1)
 		reg := armSegmentRead(t, fault.Trigger{Kind: fault.KindError, Times: fault.Forever})
 		_, errs := readAll(s, target)
 		for i, err := range errs {
@@ -567,6 +668,11 @@ func TestPoolConcurrentFaultSamePage(t *testing.T) {
 		if st := s.PoolStats(); st.Resident != 0 || st.Pinned != 0 {
 			t.Fatalf("resident %d pinned %d after failed reads, want 0 and 0", st.Resident, st.Pinned)
 		}
+		// Each failed read gave its buffer back; overlapping readers
+		// needed up to one each, and the budget caps what the list keeps.
+		if n := freeBufs(s); n < free || n > s.pool.budget {
+			t.Fatalf("free list holds %d buffers after failed reads, want %d to %d", n, free, s.pool.budget)
+		}
 		reg.Disarm(fault.SegmentRead)
 		got, err := s.Read(target, nil)
 		if err != nil || !bytes.Equal(got, want) {
@@ -576,6 +682,7 @@ func TestPoolConcurrentFaultSamePage(t *testing.T) {
 
 	t.Run("drop", func(t *testing.T) {
 		s, target, _ := setup(t)
+		free := max(freeBufs(s), 1)
 		reg := armSegmentRead(t, fault.Trigger{Kind: fault.KindDelay, Delay: time.Second})
 		p, _ := s.part(1)
 		done := make(chan error, 1)
@@ -595,6 +702,9 @@ func TestPoolConcurrentFaultSamePage(t *testing.T) {
 		}
 		if st := s.PoolStats(); st.Resident != 0 || st.Pinned != 0 {
 			t.Fatalf("resident %d pinned %d after the drop, want 0 and 0", st.Resident, st.Pinned)
+		}
+		if n := freeBufs(s); n != free {
+			t.Fatalf("free list holds %d buffers after the orphaned read, want %d", n, free)
 		}
 	})
 }
